@@ -109,6 +109,8 @@ pub struct Episode {
     pub write_amp: f64,
     /// Durable bytes held per byte of engine state.
     pub space_amp: f64,
+    /// Peak live heap bytes of the process during the episode.
+    pub peak_heap_bytes: usize,
     /// Counted work.
     pub units: Units,
     /// `state_digest` and `txn_digest` before the crash.

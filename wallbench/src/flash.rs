@@ -12,7 +12,7 @@
 
 use crate::clock::{Layer, Layers, Phases};
 use crate::episode::{Episode, Units};
-use crate::{ratio, ENGINE_SHARDS, KV_SHARDS, WAL_BATCH_RECORDS};
+use crate::{ratio, ENGINE_SHARDS, KV_SHARDS, PARALLEL_APPLY, WAL_BATCH_RECORDS};
 use mv_common::geom::Point;
 use mv_common::id::EntityId;
 use mv_common::sample::Zipf;
@@ -139,6 +139,7 @@ pub fn episode(inp: &FlashInputs, traced: bool, layers: &mut Layers) -> Episode 
             KvConfig::default(),
             GroupCommitPolicy::by_records(WAL_BATCH_RECORDS),
         );
+        dm.set_parallel_apply(PARALLEL_APPLY);
         let now = SimTime::from_millis(now_ms);
         let ids: Vec<EntityId> = layers.call(Layer::Spawn, || {
             let mut ids: Vec<EntityId> = inp

@@ -1,12 +1,13 @@
 //! Wall-clock, layer-attributed benchmark of the cospace stack.
 //!
-//! Three workloads drive `mv-core`'s public API and the layers below
+//! Two workloads drive `mv-core`'s public API and the layers below
 //! it in a closed loop with one client: the next round starts only
 //! after the previous one returned. Inputs are generated from the seed
-//! before anything is timed. A run repeats *episodes* — fresh world,
-//! every round of the input, crash and recovery — until `seconds` of
-//! timed phases have passed (at least [`MIN_EPISODES`]), and checks
-//! that every episode counted exactly the same work.
+//! before anything is timed. A run makes one untimed warm-up episode,
+//! then repeats *episodes* — fresh world, every round of the input,
+//! crash and recovery — until `seconds` of timed phases have passed
+//! (at least [`MIN_EPISODES`]), and checks that every episode, the
+//! warm-up too, counted exactly the same work.
 //!
 //! An untraced run reports the end-to-end metrics of
 //! [`metrics::END_TO_END`]. A traced run alternates untraced and traced
@@ -17,6 +18,7 @@
 pub mod clock;
 pub mod episode;
 pub mod flash;
+pub mod heap;
 pub mod metrics;
 pub mod tick;
 
@@ -26,14 +28,23 @@ use flash::{FlashInputs, FlashShape};
 use mv_storage::KvConfig;
 use tick::{TickInputs, TickShape};
 
+#[global_allocator]
+static HEAP: heap::Counting = heap::Counting;
+
 /// Engine shards (one per core of the 2-core reference host).
 pub const ENGINE_SHARDS: usize = 2;
+/// Whether `apply_batch` and `drain_to_storage` run their shard queues
+/// on one scoped thread each. Off: on a shared host with as many cores
+/// as shards, a batch that waits for the slower of two threads measures
+/// the host's scheduler more than the shards. AoI queries and
+/// `mean_divergence` still fan out over the engine shards.
+pub const PARALLEL_APPLY: bool = false;
 /// KV shards.
 pub const KV_SHARDS: usize = 2;
 /// Group-commit batch: the WAL seals after this many records.
 pub const WAL_BATCH_RECORDS: usize = 256;
-/// Episodes an untraced run makes at least (set-up and recovery are
-/// medians over them); a traced run makes one more.
+/// Timed episodes an untraced run makes at least (set-up and recovery
+/// are medians over them); a traced run makes one more.
 pub const MIN_EPISODES: usize = 3;
 
 /// `num / den`, or 0 when `den` is 0.
@@ -62,25 +73,18 @@ pub fn quantile(values: &[f64], q: f64) -> f64 {
 pub enum Workload {
     /// The §III write storm: durable writes, commit and recovery.
     DelugeIngest,
-    /// Read-heavy serving: AoI probes, broker fanout, link scheduling.
-    AoiServe,
     /// The §II flash sale: serializable cross-shard transactions.
     FlashSaleTxn,
 }
 
 impl Workload {
     /// Every workload.
-    pub const ALL: [Workload; 3] = [
-        Workload::DelugeIngest,
-        Workload::AoiServe,
-        Workload::FlashSaleTxn,
-    ];
+    pub const ALL: [Workload; 2] = [Workload::DelugeIngest, Workload::FlashSaleTxn];
 
     /// Name on the command line and in `BENCHMARK.json`.
     pub fn name(self) -> &'static str {
         match self {
             Workload::DelugeIngest => "deluge-ingest",
-            Workload::AoiServe => "aoi-serve",
             Workload::FlashSaleTxn => "flash-sale-txn",
         }
     }
@@ -131,12 +135,12 @@ impl Config {
     }
 }
 
-fn tick_shape(workload: Workload, scale: Scale) -> TickShape {
-    match (workload, scale) {
+fn tick_shape(scale: Scale) -> TickShape {
+    match scale {
         // KV data (about 6.5 MB of entity snapshots) is 12 times the
         // 2 × 256 KiB memtable budget, so flushes and tier compactions
         // run all through the episode.
-        (Workload::DelugeIngest, Scale::Full) => TickShape {
+        Scale::Full => TickShape {
             entities: 100_000,
             ticks: 104,
             ops_per_tick: 1_000,
@@ -147,7 +151,7 @@ fn tick_shape(workload: Workload, scale: Scale) -> TickShape {
                 ..KvConfig::default()
             },
         },
-        (Workload::DelugeIngest, Scale::Tiny) => TickShape {
+        Scale::Tiny => TickShape {
             entities: 3_000,
             ticks: 16,
             ops_per_tick: 200,
@@ -157,24 +161,6 @@ fn tick_shape(workload: Workload, scale: Scale) -> TickShape {
                 memtable_budget: 16 << 10,
                 ..KvConfig::default()
             },
-        },
-        // The whole world fits the default 2 × 1 MiB memtables: no
-        // flush, no compaction.
-        (_, Scale::Full) => TickShape {
-            entities: 20_000,
-            ticks: 200,
-            ops_per_tick: 200,
-            probes_per_tick: 1_000,
-            subscribers: 1_000,
-            kv: KvConfig::default(),
-        },
-        (_, Scale::Tiny) => TickShape {
-            entities: 2_000,
-            ticks: 16,
-            ops_per_tick: 50,
-            probes_per_tick: 64,
-            subscribers: 64,
-            kv: KvConfig::default(),
         },
     }
 }
@@ -212,7 +198,7 @@ pub struct Report {
     pub metrics: Vec<(&'static str, f64, &'static str)>,
     /// Failed output checks.
     pub failures: Vec<String>,
-    /// Episodes made.
+    /// Timed episodes made.
     pub episodes: Vec<Episode>,
 }
 
@@ -245,14 +231,15 @@ impl Report {
         let mut out = String::new();
         for (i, ep) in self.episodes.iter().enumerate() {
             out.push_str(&format!(
-                "episode {i} ({}): setup {:.4} s, {} rounds {:.4} s (p50 {:.4} ms, p90 {:.4} ms), recover {:.4} s\n",
+                "episode {i} ({}): setup {:.4} s, {} rounds {:.4} s (p50 {:.4} ms, p90 {:.4} ms), recover {:.4} s, peak heap {:.1} MB\n",
                 if ep.traced { "traced" } else { "untraced" },
                 ep.setup_s,
                 ep.rounds_s.len(),
                 ep.loop_s(),
                 quantile(&ep.rounds_s, 0.5) * 1e3,
                 quantile(&ep.rounds_s, 0.9) * 1e3,
-                ep.recover_s
+                ep.recover_s,
+                ep.peak_heap_bytes as f64 / (1 << 20) as f64
             ));
         }
         if let Some(ep) = self.episodes.first() {
@@ -275,58 +262,57 @@ impl Report {
     }
 }
 
-/// Peak resident set of this process, MiB.
-fn peak_rss_mb() -> Result<f64, String> {
-    let status = std::fs::read_to_string("/proc/self/status").map_err(|e| e.to_string())?;
-    let kb = status
-        .lines()
-        .find_map(|l| l.strip_prefix("VmHWM:"))
-        .and_then(|v| v.trim().trim_end_matches("kB").trim().parse::<f64>().ok())
-        .ok_or("no VmHWM in /proc/self/status")?;
-    Ok(kb / 1024.0)
-}
-
 /// Run a workload.
 pub fn run(cfg: &Config) -> Report {
     let mut inputs = match cfg.workload {
         Workload::FlashSaleTxn => {
             Inputs::Flash(flash::make_inputs(flash_shape(cfg.scale), cfg.seed))
         }
-        w => Inputs::Tick(Box::new(tick::make_inputs(
-            tick_shape(w, cfg.scale),
-            cfg.seed,
-        ))),
+        Workload::DelugeIngest => {
+            Inputs::Tick(Box::new(tick::make_inputs(tick_shape(cfg.scale), cfg.seed)))
+        }
     };
-    let min = MIN_EPISODES + usize::from(cfg.trace);
-    let mut report = Report::default();
-    let mut timed = 0.0;
-    while report.episodes.len() < min || timed < cfg.seconds {
-        // A traced run alternates, starting untraced.
-        let traced = cfg.trace && report.episodes.len() % 2 == 1;
+    let mut one_episode = |traced: bool| {
         let mut layers = Layers::new(traced, cfg.delay);
-        let ep = match &mut inputs {
+        heap::reset_peak();
+        let mut ep = match &mut inputs {
             Inputs::Tick(inp) => tick::episode(inp, traced, &mut layers),
             Inputs::Flash(inp) => flash::episode(inp, traced, &mut layers),
         };
+        ep.peak_heap_bytes = heap::peak_bytes();
+        ep
+    };
+    let mut report = Report::default();
+    // Warm-up: caches, the allocator's free lists and the first page
+    // faults of a world's worth of heap are paid here, untimed.
+    let warmup = one_episode(false);
+    report
+        .failures
+        .extend(warmup.failures.iter().map(|f| format!("warm-up: {f}")));
+    let min = MIN_EPISODES + usize::from(cfg.trace);
+    let mut timed = 0.0;
+    // A failed check ends the run.
+    while report.failures.is_empty() && (report.episodes.len() < min || timed < cfg.seconds) {
+        // A traced run alternates, starting untraced.
+        let traced = cfg.trace && report.episodes.len() % 2 == 1;
+        let ep = one_episode(traced);
         timed += ep.wall_s();
-        let stop = !ep.failures.is_empty();
         report.failures.extend(
             ep.failures
                 .iter()
                 .map(|f| format!("episode {}: {f}", report.episodes.len())),
         );
         report.episodes.push(ep);
-        if stop {
-            break;
+    }
+    for (i, ep) in report.episodes.iter().enumerate() {
+        if ep.units != warmup.units || ep.digests != warmup.digests {
+            report.failures.push(format!(
+                "episode {i} counted different work than the warm-up"
+            ));
         }
     }
-    let first = &report.episodes[0];
-    for (i, ep) in report.episodes.iter().enumerate().skip(1) {
-        if ep.units != first.units || ep.digests != first.digests {
-            report
-                .failures
-                .push(format!("episode {i} counted different work than episode 0"));
-        }
+    if report.episodes.is_empty() {
+        report.failures.push("no timed episode".into());
     }
     report.attempted = report.episodes.iter().map(|e| e.client_ops).sum();
     report.failed = report.attempted
@@ -361,9 +347,8 @@ fn summarize(
             out.push((name, v, unit));
         }
     } else {
-        let rss = peak_rss_mb()?;
         for m in metrics::END_TO_END {
-            let v = end_to_end(m.name, eps, rss)
+            let v = end_to_end(m.name, eps)
                 .ok_or_else(|| format!("metric {} has no definition", m.name))?;
             out.push((m.name, v, m.unit));
         }
@@ -376,7 +361,7 @@ fn summarize(
 
 /// An end-to-end metric: the median over episodes of each episode's
 /// value, so one disturbed episode cannot move it.
-fn end_to_end(name: &str, eps: &[Episode], rss_mb: f64) -> Option<f64> {
+fn end_to_end(name: &str, eps: &[Episode]) -> Option<f64> {
     let per_episode: fn(&Episode) -> f64 = match name {
         "ops_per_s" => |e| ratio(e.completed as f64, e.loop_s()),
         "round_p50_ms" => |e| quantile(&e.rounds_s, 0.5) * 1e3,
@@ -386,7 +371,7 @@ fn end_to_end(name: &str, eps: &[Episode], rss_mb: f64) -> Option<f64> {
         "attempts_per_op" => |e| ratio(e.attempts as f64, e.completed as f64),
         "write_amp" => |e| e.write_amp,
         "space_amp" => |e| e.space_amp,
-        "peak_rss_mb" => return Some(rss_mb),
+        "peak_heap_mb" => |e| e.peak_heap_bytes as f64 / (1 << 20) as f64,
         _ => return None,
     };
     Some(quantile(

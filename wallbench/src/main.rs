@@ -7,7 +7,7 @@
 use mv_wallbench::{layer_table, run, Config, Workload};
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: mv-wallbench --workload <deluge-ingest|aoi-serve|flash-sale-txn> \
+const USAGE: &str = "usage: mv-wallbench --workload <deluge-ingest|flash-sale-txn> \
                      --seed <n> --seconds <s> --trace <0|1>";
 
 fn parse(args: &[String]) -> Result<Config, String> {

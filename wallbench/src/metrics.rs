@@ -55,7 +55,7 @@ pub const END_TO_END: [Metric; 9] = [
     metric("attempts_per_op", "ratio", Better::Lower, 0.05),
     metric("write_amp", "ratio", Better::Lower, 0.05),
     metric("space_amp", "ratio", Better::Lower, 0.05),
-    metric("peak_rss_mb", "MB", Better::Lower, 0.15),
+    metric("peak_heap_mb", "MB", Better::Lower, 0.05),
 ];
 
 /// Per-layer metrics, reported by traced runs: `(name, unit, better)`.

@@ -1,5 +1,5 @@
-//! The tick workloads, `deluge-ingest` and `aoi-serve`: one serving
-//! pipeline driven with two traffic shapes.
+//! The tick workload, `deluge-ingest`: the serving pipeline under a
+//! write storm.
 //!
 //! A round is one tick: `apply_batch` of the tick's writes, `commit`
 //! (WAL `sync`, then `drain_to_storage`), one publication per move
@@ -9,7 +9,7 @@
 
 use crate::clock::{Layer, Layers, Phases};
 use crate::episode::{Episode, Units};
-use crate::{ratio, ENGINE_SHARDS, KV_SHARDS, WAL_BATCH_RECORDS};
+use crate::{ratio, ENGINE_SHARDS, KV_SHARDS, PARALLEL_APPLY, WAL_BATCH_RECORDS};
 use mv_common::geom::{Aabb, Point};
 use mv_common::id::{ClientId, EntityId};
 use mv_common::seeded_rng;
@@ -256,6 +256,7 @@ pub fn episode(inp: &mut TickInputs, traced: bool, layers: &mut Layers) -> Episo
             shape.kv,
             GroupCommitPolicy::by_records(WAL_BATCH_RECORDS),
         );
+        dm.set_parallel_apply(PARALLEL_APPLY);
         layers.call(Layer::Spawn, || {
             for (name, kind, p) in &inp.trace.spawns {
                 dm.spawn(name.as_str(), *kind, *p, SimTime::ZERO);
