@@ -317,7 +317,7 @@ fn measure_overhead(count: usize, sample: u64) -> (f64, f64) {
     traced.sync();
     let traced_s = t0.elapsed().as_secs_f64();
 
-    assert_eq!(plain.durable().len(), traced.durable().len());
+    assert_eq!(plain.durable_len(), traced.durable_len());
     assert_eq!(tracer.open_count(), 0);
     (plain_s, traced_s)
 }

@@ -12,13 +12,17 @@
 //! E17 measures.
 //!
 //! **Recovery is replay.** [`DurableMetaverse::crash_and_recover`]
-//! discards all volatile state, recovers the WAL (PR 2 semantics:
-//! truncate at the first corrupt *batch*, lose the unsynced tail
-//! wholesale), and replays the surviving ops into a fresh engine. The
-//! engine is deterministic — same ops, same order, same state — so the
-//! recovered state is *byte-identical* to the pre-crash engine at the
-//! last durable point, which [`DurableMetaverse::state_encoding`]
-//! makes checkable byte-for-byte (`tests/fault_recovery.rs` does).
+//! first drops all volatile state (engine, MVCC chains, KV store, ids),
+//! as a crash would. It then recovers the WAL (truncate at the first
+//! corrupt *batch*, lose the unsynced tail wholesale) and replays the
+//! surviving ops into a fresh engine. The log is the only copy of the
+//! durable records: each op decodes straight from its checksummed frame
+//! in the WAL's byte image, and the events replay regenerates are
+//! dropped unread (only the event-id counter advances). The engine is
+//! deterministic — same ops, same order, same state — so the recovered
+//! state is *byte-identical* to the pre-crash engine at the last
+//! durable point, which [`DurableMetaverse::state_encoding`] makes
+//! checkable byte-for-byte (`tests/fault_recovery.rs` does).
 
 use crate::arena::EntityRef;
 use crate::entity::EntityKind;
@@ -33,7 +37,7 @@ use mv_common::{MvResult, Space};
 use mv_obs::{SharedTracer, TraceCtx};
 use mv_storage::codec::SliceReader;
 use mv_storage::kv::KvConfig;
-use mv_storage::wal::{RecoveryReport, WalRecord};
+use mv_storage::wal::{RecoveryReport, WalRecord, WalRecordRef};
 use mv_storage::{GroupCommitPolicy, GroupCommitWal, ShardedKv};
 use std::hash::Hasher as _;
 
@@ -387,6 +391,9 @@ fn encode_entity(out: &mut Vec<u8>, e: EntityRef<'_>) {
     out.push(u8::from(e.retired));
 }
 
+/// Replay drops the events it regenerates once per this many records.
+const DISCARD_EVENTS_EVERY: usize = 4096;
+
 /// The durable engine: a [`ShardedMetaverse`] whose mutations are
 /// logged (group-commit WAL) before application and whose event log
 /// drains into a sharded LSM store at each commit.
@@ -692,12 +699,14 @@ impl DurableMetaverse {
     }
 
     /// Simulate a crash and recover: all volatile state (engine, KV,
-    /// MVCC chains, unsynced WAL tail) is discarded; the WAL is
-    /// recovered (truncating at the first corrupt batch) and the
-    /// surviving ops replay into a fresh engine; the KV is rebuilt from
-    /// the recovered entities. The replayed engine is byte-identical
-    /// (per [`Self::state_encoding`]) to the pre-crash engine at the
-    /// last durable point.
+    /// MVCC chains, ids, unsynced WAL tail) is dropped first, as a
+    /// crash would; the WAL is recovered (truncating at the first
+    /// corrupt batch) and the surviving ops, decoded straight from the
+    /// log's borrowed frames, replay into a fresh engine; the KV is
+    /// rebuilt from the recovered entities. The apply mode set by
+    /// [`Self::set_parallel_apply`] carries over. The replayed engine is
+    /// byte-identical (per [`Self::state_encoding`]) to the pre-crash
+    /// engine at the last durable point.
     ///
     /// Transactional records resolve in-doubt state here: a
     /// [`DurableOp::TxnPrepare`] is buffered, never applied on its own;
@@ -707,61 +716,74 @@ impl DurableMetaverse {
     /// of the log are *presumed aborts* — discarded and counted in the
     /// `core.txn.indoubt_aborted` stat.
     pub fn crash_and_recover(&mut self) -> RecoveryReport {
+        let engine_parallel = self.engine.parallel_apply();
+        let kv_parallel = self.kv.parallel_apply();
+        self.engine = ShardedMetaverse::with_defaults(self.engine_shards);
+        self.engine.set_parallel_apply(engine_parallel);
+        self.kv = ShardedKv::new(self.kv_shards, self.kv_config);
+        self.kv.set_parallel_apply(kv_parallel);
+        self.ids = Vec::new();
+        self.txns = crate::txn::TxnState::new(self.kv_shards);
         let report = self.wal.crash_with_report();
-        let mut engine = ShardedMetaverse::with_defaults(self.engine_shards);
-        let mut ids = Vec::new();
-        let mut txns = crate::txn::TxnState::new(self.kv_shards);
         let mut prepared: mv_common::hash::FastMap<u64, Vec<DurableOp>> =
             mv_common::hash::FastMap::default();
-        for rec in self.wal.durable() {
-            let WalRecord::Put { value, .. } = rec else { continue };
+        let mut txn_ids_end = 0u64;
+        for (i, rec) in self.wal.durable().enumerate() {
+            // Regenerated events are not "new" mutations: drop them
+            // unread as replay goes, so they never pile up.
+            if i % DISCARD_EVENTS_EVERY == 0 {
+                self.engine.discard_events();
+            }
+            let WalRecordRef::Put { value, .. } = rec else { continue };
             let Some(op) = DurableOp::decode(value) else { continue };
             match op {
                 DurableOp::TxnPrepare { txn, ops, .. } => {
+                    txn_ids_end = txn_ids_end.max(txn.saturating_add(1));
                     prepared.entry(txn).or_default().extend(ops);
                 }
                 DurableOp::TxnDecision { txn, commit, commit_ts, .. } => {
+                    txn_ids_end = txn_ids_end.max(txn.saturating_add(1));
                     // A decision with no buffered prepares is hostile or
                     // duplicated input — there is nothing to apply.
                     let Some(ops) = prepared.remove(&txn) else { continue };
                     if commit {
-                        txns.install_recovered(&ops, commit_ts);
-                        for op in ops {
-                            Self::replay(&mut engine, &mut ids, op);
+                        self.txns.install_recovered(&ops, commit_ts);
+                        for op in &ops {
+                            Self::replay(&mut self.engine, &mut self.ids, op);
                         }
                     } else {
-                        txns.stats.incr("recovered_aborts");
+                        self.txns.stats.incr("recovered_aborts");
                     }
                 }
                 other => {
                     // Recovery mirrors the live path: a plain write that
                     // the engine accepts reinstalls its MVCC version at
                     // the same oracle-drawn timestamp.
-                    if Self::replay(&mut engine, &mut ids, other.clone()) {
-                        txns.install_plain(&other);
+                    if Self::replay(&mut self.engine, &mut self.ids, &other) {
+                        self.txns.install_plain(&other);
                     }
                 }
             }
         }
-        txns.stats.add("indoubt_aborted", prepared.len() as u64);
+        self.txns.stats.add("indoubt_aborted", prepared.len() as u64);
+        // New transactions must not reuse a logged id: a presumed-abort
+        // prepare stays in the log and would join the new transaction's
+        // records on the next replay.
+        self.txns.mvcc.reserve_txn_ids_below(txn_ids_end);
         // Every pre-crash transaction is dead, so nothing pins the GC
         // horizon: one final automatic collection lands the rebuilt
         // chains in the same maximally-trimmed state the live path's
         // per-commit collector maintains (the differential harness
         // compares chain digests against a live twin).
-        let trimmed = txns.mvcc.auto_gc();
+        let trimmed = self.txns.mvcc.auto_gc();
         if trimmed > 0 {
-            txns.stats.add("gc_versions_auto", trimmed as u64);
+            self.txns.stats.add("gc_versions_auto", trimmed as u64);
         }
-        // Regenerated events are not "new" mutations — clear them, then
-        // rebuild the materialized store from the recovered entities.
-        engine.drain_events();
-        self.engine = engine;
-        self.ids = ids;
-        self.txns = txns;
-        self.lsn = self.wal.durable().len() as u64;
-        self.kv = ShardedKv::new(self.kv_shards, self.kv_config);
-        let records = self.snapshot_records(&self.ids.clone());
+        // Drop the last regenerated events, then rebuild the
+        // materialized store from the recovered entities.
+        self.engine.discard_events();
+        self.lsn = self.wal.durable_len() as u64;
+        let records = self.snapshot_records(&self.ids);
         self.kv.apply_batch(&records);
         report
     }
@@ -777,22 +799,22 @@ impl DurableMetaverse {
     pub(crate) fn replay(
         engine: &mut ShardedMetaverse,
         ids: &mut Vec<EntityId>,
-        op: DurableOp,
+        op: &DurableOp,
     ) -> bool {
         match op {
             DurableOp::Spawn { name, kind, position, ts } => {
-                ids.push(engine.spawn(name, kind, position, ts));
+                ids.push(engine.spawn(name.as_str(), *kind, *position, *ts));
                 true
             }
             DurableOp::Position { id, position, ts } => {
-                engine.update_position(id, position, ts).is_ok()
+                engine.update_position(*id, *position, *ts).is_ok()
             }
             DurableOp::Attr { id, name, value, ts } => {
-                engine.update_attr(id, &name, value, ts).is_ok()
+                engine.update_attr(*id, name, *value, *ts).is_ok()
             }
-            DurableOp::Retire { id, ts } => engine.retire(id, ts).is_ok(),
+            DurableOp::Retire { id, ts } => engine.retire(*id, *ts).is_ok(),
             DurableOp::AreaEffect { space, effect, region, action, retire, ts } => {
-                let _ = engine.area_effect(space, &effect, region, &action, retire, ts);
+                let _ = engine.area_effect(*space, effect, *region, action, *retire, *ts);
                 true
             }
             DurableOp::TxnPrepare { .. } | DurableOp::TxnDecision { .. } => false,
@@ -1063,6 +1085,20 @@ mod tests {
         tracer.close(root.span, t(5), "ok");
         assert_eq!(tracer.open_count(), 0);
         assert_eq!(tracer.trace_count(), 3);
+    }
+
+    #[test]
+    fn recovery_keeps_the_apply_mode() {
+        for parallel in [false, true] {
+            let mut dm = DurableMetaverse::with_defaults(2);
+            dm.set_parallel_apply(parallel);
+            let id = dm.spawn("a", EntityKind::Person, p(0.0, 0.0), t(1));
+            dm.apply_batch(&[WriteOp::Position { id, position: p(3.0, 4.0), ts: t(2) }]);
+            dm.commit(t(2));
+            dm.crash_and_recover();
+            assert_eq!(dm.engine().parallel_apply(), parallel, "engine mode");
+            assert_eq!(dm.kv().parallel_apply(), parallel, "KV mode");
+        }
     }
 
     #[test]

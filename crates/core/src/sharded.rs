@@ -165,6 +165,12 @@ impl ShardedMetaverse {
         self.parallel_apply = on;
     }
 
+    /// Whether `apply_batch` runs shards in parallel (see
+    /// [`Self::set_parallel_apply`]).
+    pub fn parallel_apply(&self) -> bool {
+        self.parallel_apply
+    }
+
     /// Install a span collector: each (sampled) [`apply_batch`] call
     /// records a `core.sharded.apply_batch` ingest root.
     ///
@@ -523,6 +529,24 @@ impl ShardedMetaverse {
             })
             .collect()
     }
+
+    /// The id the next drained event gets (the count of events
+    /// numbered so far by [`Self::drain_events`] and
+    /// [`Self::discard_events`]).
+    pub fn next_event_id(&self) -> EventId {
+        EventId::new(self.next_event)
+    }
+
+    /// Drop every shard's buffered events unread, numbering them as
+    /// [`Self::drain_events`] would: the event-id counter advances by
+    /// the count, so later ids are the same as after a drain. Returns
+    /// the count. Recovery uses this for the events replay regenerates,
+    /// which need no merge order because nobody reads them.
+    pub fn discard_events(&mut self) -> usize {
+        let count: usize = self.shards.iter_mut().map(|s| s.drain_events().len()).sum();
+        self.next_event += count as u64;
+        count
+    }
 }
 
 #[cfg(test)]
@@ -663,6 +687,25 @@ mod tests {
                 assert_eq!(visible[i], mv.query_visible(space, area), "visible probe {i}");
             }
         }
+    }
+
+    #[test]
+    fn discarded_events_advance_ids_like_a_drain() {
+        let run = |discard: bool| {
+            let mut mv = ShardedMetaverse::with_defaults(4);
+            let ids: Vec<_> = (0..12)
+                .map(|i| mv.spawn(format!("e{i}"), EntityKind::Person, Point::ORIGIN, t(0)))
+                .collect();
+            let region = Aabb::centered(Point::ORIGIN, 5.0);
+            mv.area_effect(Space::Virtual, "raid", region, "perish", true, t(1));
+            let skipped = if discard { mv.discard_events() } else { mv.drain_events().len() };
+            mv.update_position(ids[11], Point::new(300.0, 0.0), t(2)).ok();
+            mv.spawn("late", EntityKind::Avatar, Point::ORIGIN, t(3));
+            (skipped, format!("{:?}", mv.drain_events()))
+        };
+        let (drained, after_drain) = run(false);
+        assert!(drained > 12, "spawns and the raid emitted events");
+        assert_eq!(run(true), (drained, after_drain));
     }
 
     #[test]

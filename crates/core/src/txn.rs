@@ -392,7 +392,7 @@ impl DurableMetaverse {
         // Apply: install versions at the decision timestamp, replay the
         // buffered ops into the engine in prepare-record order.
         self.txns.mvcc.install(&inner, commit_ts);
-        for (_, shard_ops) in by_shard {
+        for (_, shard_ops) in &by_shard {
             for op in shard_ops {
                 Self::replay(&mut self.engine, &mut self.ids, op);
             }
@@ -749,6 +749,7 @@ mod tests {
         let b = dm.txn_read_attr(&mut doomed, ids[1], "gold").expect("seeded");
         doomed.write_attr(ids[1], "gold", b * 0.5, t(3));
         doomed.write_attr(far, "gold", b * 2.0, t(3));
+        let doomed_id = doomed.id();
         let r = dm
             .commit_txn_crashing(doomed, t(3), Some(TxnCrashPoint::AfterPrepareSync))
             .expect("crash injection is not an error");
@@ -758,8 +759,11 @@ mod tests {
         assert_eq!(dm.state_encoding(), committed, "in-doubt txn fully absent");
         assert_eq!(dm.txn_stats().get("indoubt_aborted"), 1);
         assert_eq!(dm.txn_lock_count(), 0, "recovery leaves no locks");
-        // The world keeps working afterwards.
+        // The world keeps working afterwards, under fresh transaction
+        // ids: reusing the doomed id would let its orphaned prepares
+        // join a later commit on the next replay.
         let mut after = dm.txn(t(4));
+        assert!(after.id() > doomed_id, "recovery skips logged transaction ids");
         assert_eq!(dm.txn_read_attr(&mut after, ids[1], "gold"), Some(100.0));
     }
 

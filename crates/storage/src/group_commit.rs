@@ -21,7 +21,7 @@
 //! waited `max_delay` of virtual time — the classic throughput/latency
 //! trigger triple — or when the caller forces `sync()`.
 
-use crate::codec;
+use crate::codec::{self, SliceReader};
 use crate::wal::{
     checksum, decode_payload_ref, encode_payload, Corruption, RecoveryReport, WalRecord,
     WalRecordRef,
@@ -69,16 +69,16 @@ impl GroupCommitPolicy {
 }
 
 /// The group-commit log.
+///
+/// Each durable record is kept once: as bytes in the checksummed batch
+/// frames of `log`. [`GroupCommitWal::durable`] decodes them in place.
 #[derive(Debug, Default)]
 pub struct GroupCommitWal {
     policy: GroupCommitPolicy,
-    /// Records made durable by sealed batches, in append order.
-    sealed: Vec<WalRecord>,
-    /// Record count of each sealed batch, in seal order (batch
-    /// boundaries inside `sealed`).
+    /// Record count of each sealed batch, in seal order.
     batch_sizes: Vec<usize>,
     /// Appended but not yet sealed — lost wholesale on crash.
-    pending: Vec<WalRecord>,
+    pending_records: usize,
     /// Encoded payload bytes of the pending batch (records are encoded
     /// on append; sealing only frames + checksums the accumulated
     /// payload — the per-batch, not per-record, commit cost).
@@ -122,7 +122,7 @@ impl GroupCommitWal {
     /// Records appended but not yet sealed into a durable batch — the
     /// group-commit queue depth health probes watch.
     pub fn queue_depth(&self) -> usize {
-        self.pending.len()
+        self.pending_records
     }
 
     /// Encoded bytes of the unsealed pending batch.
@@ -162,7 +162,7 @@ impl GroupCommitWal {
         if let Some(slot) = self.pending_payload.get_mut(start..start + 4) {
             slot.copy_from_slice(&rec_len.to_le_bytes());
         }
-        self.pending.push(rec);
+        self.pending_records += 1;
         self.maybe_seal(now)
     }
 
@@ -177,7 +177,7 @@ impl GroupCommitWal {
         let Some(since) = self.pending_since else {
             return false;
         };
-        let trigger = if self.pending.len() >= self.policy.max_records {
+        let trigger = if self.pending_records >= self.policy.max_records {
             "trigger_records"
         } else if self.pending_payload.len() >= self.policy.max_bytes {
             "trigger_bytes"
@@ -194,7 +194,7 @@ impl GroupCommitWal {
     /// Force-seal whatever is pending (the explicit group commit).
     /// No-op on an empty pending set.
     pub fn sync(&mut self) {
-        if !self.pending.is_empty() {
+        if self.pending_records > 0 {
             self.stats.incr("trigger_explicit");
             self.seal();
         }
@@ -202,7 +202,7 @@ impl GroupCommitWal {
 
     /// Seal the pending records into one checksummed batch frame.
     fn seal(&mut self) {
-        let count = self.pending.len();
+        let count = self.pending_records;
         debug_assert!(count > 0, "seal() requires pending records");
         // Every traced record in this batch becomes durable now: its
         // group-commit wait ends at the seal instant.
@@ -213,22 +213,32 @@ impl GroupCommitWal {
         } else {
             self.pending_spans.clear();
         }
-        let payload = std::mem::take(&mut self.pending_payload);
         self.log.extend_from_slice(&wire_u32(count).to_le_bytes());
-        self.log.extend_from_slice(&wire_u32(payload.len()).to_le_bytes());
-        self.log.extend_from_slice(&checksum(&payload).to_le_bytes());
-        self.log.extend_from_slice(&payload);
-        self.sealed.append(&mut self.pending);
+        self.log.extend_from_slice(&wire_u32(self.pending_payload.len()).to_le_bytes());
+        self.log.extend_from_slice(&checksum(&self.pending_payload).to_le_bytes());
+        self.log.extend_from_slice(&self.pending_payload);
+        self.stats.add("synced_bytes", (BATCH_HEADER + self.pending_payload.len()) as u64);
+        self.pending_payload.clear();
+        self.pending_records = 0;
         self.batch_sizes.push(count);
         self.pending_since = None;
         self.stats.incr("batches");
         self.stats.add("records_synced", count as u64);
-        self.stats.add("synced_bytes", (BATCH_HEADER + payload.len()) as u64);
     }
 
-    /// Records that would survive a crash (whole sealed batches).
-    pub fn durable(&self) -> &[WalRecord] {
-        &self.sealed
+    /// The records that would survive a crash (whole sealed batches),
+    /// decoded in place from the byte log — the log is their only copy.
+    /// The walk trusts the frames: this log sealed them, or the last
+    /// crash validated them. Damage injected since then stays visible
+    /// here until the next crash excises it, and the walk stops at a
+    /// record it cannot parse.
+    pub fn durable(&self) -> DurableRecords<'_> {
+        DurableRecords { log: &self.log, next_frame: 0, batch: SliceReader::new(&[]), left: 0 }
+    }
+
+    /// Number of records in the sealed batches.
+    pub fn durable_len(&self) -> usize {
+        self.batch_sizes.iter().sum()
     }
 
     /// Record counts of the sealed batches, in seal order.
@@ -238,12 +248,12 @@ impl GroupCommitWal {
 
     /// Appended-but-unsealed record count (lost wholesale on crash).
     pub fn pending_len(&self) -> usize {
-        self.pending.len()
+        self.pending_records
     }
 
     /// Total appended records (sealed + pending).
     pub fn len(&self) -> usize {
-        self.sealed.len() + self.pending.len()
+        self.durable_len() + self.pending_records
     }
 
     /// True when nothing has been appended.
@@ -275,9 +285,9 @@ impl GroupCommitWal {
     }
 
     /// Simulate a crash: the pending tail is lost, and the sealed
-    /// batches are re-read from the (possibly corrupted) byte log. The
-    /// log is truncated at the first corrupt *batch*; a damaged batch is
-    /// dropped in full along with everything after it.
+    /// batches are validated in place in the (possibly corrupted) byte
+    /// log. The log is truncated at the first corrupt *batch*; a damaged
+    /// batch is dropped in full along with everything after it.
     pub fn crash_with_report(&mut self) -> RecoveryReport {
         // The pending tail dies with the crash; its spans must not leak.
         if let Some(tr) = &self.tracer {
@@ -287,11 +297,10 @@ impl GroupCommitWal {
         } else {
             self.pending_spans.clear();
         }
-        let (batches, report) = decode_batches(&self.log);
+        let (batch_sizes, report) = scan_batches(&self.log);
         self.log.truncate(report.valid_bytes);
-        self.batch_sizes = batches.iter().map(Vec::len).collect();
-        self.sealed = batches.into_iter().flatten().collect();
-        self.pending.clear();
+        self.batch_sizes = batch_sizes;
+        self.pending_records = 0;
         self.pending_payload.clear();
         self.pending_since = None;
         self.last_recovery = Some(report);
@@ -304,56 +313,58 @@ impl GroupCommitWal {
     }
 }
 
-/// Scan a batch log, returning the intact batch prefix and a report.
-/// Validation is all-or-nothing per batch frame: a torn tail, checksum
-/// mismatch, or undecodable record drops the whole batch and stops.
-fn decode_batches(log: &[u8]) -> (Vec<Vec<WalRecord>>, RecoveryReport) {
-    let mut batches = Vec::new();
+/// One batch frame of the log, borrowed.
+struct Frame<'a> {
+    /// Record count (outside the checksummed payload).
+    count: usize,
+    /// Checksum the frame header claims for the payload.
+    sum: u64,
+    payload: &'a [u8],
+    /// Offset just past the frame.
+    end: usize,
+}
+
+impl<'a> Frame<'a> {
+    /// The frame starting at byte `at`; `None` when the log ends before
+    /// the header or the payload it announces does.
+    fn at(log: &'a [u8], at: usize) -> Option<Self> {
+        let count = codec::read_u32_le(log, at)? as usize;
+        let len = codec::read_u32_le(log, at + 4)? as usize;
+        let sum = codec::read_u64_le(log, at + 8)?;
+        let end = at + BATCH_HEADER + len;
+        Some(Frame { count, sum, payload: log.get(at + BATCH_HEADER..end)?, end })
+    }
+
+    /// Whether the payload splits into exactly `count` well-formed
+    /// records. The walk borrows the log and allocates nothing; a
+    /// damaged count (it sits outside the checksum) fails here.
+    fn records_intact(&self) -> bool {
+        let mut r = SliceReader::new(self.payload);
+        (0..self.count).all(|_| r.chunk().and_then(decode_payload_ref).is_some()) && r.done()
+    }
+}
+
+/// Scan a batch log, returning the record counts of its intact batch
+/// prefix and a report. Validation is all-or-nothing per batch frame: a
+/// torn tail, checksum mismatch, or undecodable record drops the whole
+/// batch and stops.
+fn scan_batches(log: &[u8]) -> (Vec<usize>, RecoveryReport) {
+    let mut batch_sizes = Vec::new();
     let mut replayed = 0usize;
     let mut at = 0usize;
     let mut corruption = None;
-    'scan: while at < log.len() {
-        let (Some(count), Some(len), Some(sum)) = (
-            codec::read_u32_le(log, at),
-            codec::read_u32_le(log, at + 4),
-            codec::read_u64_le(log, at + 8),
-        ) else {
+    while at < log.len() {
+        let Some(frame) = Frame::at(log, at) else {
             corruption = Some(Corruption::TornTail { at });
             break;
         };
-        let (count, len) = (count as usize, len as usize);
-        let Some(payload) = log.get(at + BATCH_HEADER..at + BATCH_HEADER + len) else {
-            corruption = Some(Corruption::TornTail { at });
-            break;
-        };
-        if checksum(payload) != sum {
+        if checksum(frame.payload) != frame.sum || !frame.records_intact() {
             corruption = Some(Corruption::ChecksumMismatch { at });
             break;
         }
-        // Split the payload back into records, borrowed-first: the walk
-        // validates every record as a zero-copy [`WalRecordRef`] view
-        // over the log, and copies into owned records only once the
-        // whole batch has proven intact — a damaged batch allocates
-        // nothing. The count field sits outside the checksummed payload,
-        // so clamp the preallocation by what the payload could possibly
-        // hold (≥ 4 bytes per record); a damaged count then fails the
-        // record walk instead of provoking a monster allocation.
-        let mut refs = Vec::with_capacity(count.min(payload.len() / 4 + 1));
-        let mut pr = codec::SliceReader::new(payload);
-        for _ in 0..count {
-            let Some(rec) = pr.chunk().and_then(decode_payload_ref) else {
-                corruption = Some(Corruption::ChecksumMismatch { at });
-                break 'scan;
-            };
-            refs.push(rec);
-        }
-        if !pr.done() {
-            corruption = Some(Corruption::ChecksumMismatch { at });
-            break;
-        }
-        replayed += refs.len();
-        batches.push(refs.iter().map(WalRecordRef::to_owned).collect());
-        at += BATCH_HEADER + len;
+        replayed += frame.count;
+        batch_sizes.push(frame.count);
+        at = frame.end;
     }
     let report = RecoveryReport {
         replayed,
@@ -361,7 +372,41 @@ fn decode_batches(log: &[u8]) -> (Vec<Vec<WalRecord>>, RecoveryReport) {
         dropped_bytes: log.len() - at,
         corruption,
     };
-    (batches, report)
+    (batch_sizes, report)
+}
+
+/// The durable records of a [`GroupCommitWal`], in append order, each a
+/// [`WalRecordRef`] borrowing the log (see [`GroupCommitWal::durable`]).
+#[derive(Debug, Clone)]
+pub struct DurableRecords<'a> {
+    log: &'a [u8],
+    /// Offset of the next batch frame.
+    next_frame: usize,
+    /// The current batch's payload, at its next record.
+    batch: SliceReader<'a>,
+    /// Records left in the current batch.
+    left: usize,
+}
+
+impl<'a> Iterator for DurableRecords<'a> {
+    type Item = WalRecordRef<'a>;
+
+    fn next(&mut self) -> Option<WalRecordRef<'a>> {
+        while self.left == 0 {
+            let frame = Frame::at(self.log, self.next_frame)?;
+            self.batch = SliceReader::new(frame.payload);
+            self.left = frame.count;
+            self.next_frame = frame.end;
+        }
+        self.left -= 1;
+        let rec = self.batch.chunk().and_then(decode_payload_ref);
+        if rec.is_none() {
+            // Unparseable bytes end the walk for good.
+            self.left = 0;
+            self.next_frame = self.log.len();
+        }
+        rec
+    }
 }
 
 #[cfg(test)]
@@ -384,12 +429,13 @@ mod tests {
             let sealed = wal.append(put(i), t(0));
             assert_eq!(sealed, i % 4 == 3, "append {i}");
         }
-        assert_eq!(wal.durable().len(), 8);
+        assert_eq!(wal.durable_len(), 8);
+        assert!(wal.durable().map(|r| r.to_owned()).eq((0..8).map(put)));
         assert_eq!(wal.pending_len(), 2);
         assert_eq!(wal.batch_sizes(), &[4, 4]);
         assert_eq!(wal.stats.get("trigger_records"), 2);
         wal.sync();
-        assert_eq!(wal.durable().len(), 10);
+        assert_eq!(wal.durable_len(), 10);
         assert_eq!(wal.batch_sizes(), &[4, 4, 2]);
         assert_eq!(wal.stats.get("trigger_explicit"), 1);
     }
@@ -422,7 +468,7 @@ mod tests {
         assert!(!wal.append(put(0), t(0)));
         assert!(!wal.tick(t(4)), "deadline not yet reached");
         assert!(wal.tick(t(5)), "5 ms deadline seals the batch");
-        assert_eq!(wal.durable().len(), 1);
+        assert_eq!(wal.durable_len(), 1);
         assert_eq!(wal.stats.get("trigger_deadline"), 1);
         // Empty pending: ticks are no-ops.
         assert!(!wal.tick(t(100)));
@@ -438,7 +484,7 @@ mod tests {
         let report = wal.crash_with_report();
         assert_eq!(report.replayed, 4);
         assert_eq!(report.corruption, None);
-        assert_eq!(wal.durable().len(), 4);
+        assert_eq!(wal.durable_len(), 4);
         assert_eq!(wal.pending_len(), 0);
     }
 
@@ -457,7 +503,7 @@ mod tests {
         wal.inject_torn_write(full - 3);
         let report = wal.crash_with_report();
         assert_eq!(report.replayed, 4, "second batch dropped in full");
-        assert_eq!(wal.durable().len(), 4);
+        assert_eq!(wal.durable_len(), 4);
         assert_eq!(wal.batch_sizes(), &[4]);
         assert!(matches!(report.corruption, Some(Corruption::TornTail { at }) if at <= first_batch_end));
         // Never a prefix of a batch: replayed is a sum of whole batches.
@@ -517,7 +563,40 @@ mod tests {
                 "replayed {} must fall on a batch boundary {:?}",
                 report.replayed, valid_boundaries
             );
-            prop_assert_eq!(wal.durable(), &records[..report.replayed]);
+            let survivors: Vec<WalRecord> = wal.durable().map(|r| r.to_owned()).collect();
+            prop_assert_eq!(&survivors[..], &records[..report.replayed]);
+            prop_assert_eq!(wal.durable_len(), report.replayed);
+        }
+
+        /// The borrowed view is re-walkable: iterating the log before a
+        /// crash yields every appended record, and iterating it again
+        /// after a torn tail yields exactly a whole-batch prefix of them.
+        #[test]
+        fn prop_durable_iterates_before_and_after_a_torn_crash(
+            n_records in 1usize..40,
+            batch in 1usize..8,
+            keep_frac in 0.0f64..1.0,
+        ) {
+            let mut wal = GroupCommitWal::with_policy(GroupCommitPolicy::by_records(batch));
+            let records: Vec<WalRecord> = (0..n_records as u32).map(put).collect();
+            for rec in &records {
+                wal.append(rec.clone(), t(0));
+            }
+            wal.sync();
+            let before: Vec<WalRecord> = wal.durable().map(|r| r.to_owned()).collect();
+            prop_assert_eq!(&before, &records);
+            let mut acc = 0usize;
+            let boundaries: Vec<usize> = std::iter::once(0)
+                .chain(wal.batch_sizes().iter().map(|s| { acc += s; acc }))
+                .collect();
+            let keep = (wal.encoded_len() as f64 * keep_frac) as usize;
+            wal.inject_torn_write(keep);
+            let report = wal.crash_with_report();
+            prop_assert!(boundaries.contains(&report.replayed));
+            let after: Vec<WalRecord> = wal.durable().map(|r| r.to_owned()).collect();
+            prop_assert_eq!(&after[..], &records[..report.replayed]);
+            // A second walk of the same log sees the same records.
+            prop_assert_eq!(wal.durable().count(), report.replayed);
         }
     }
 
@@ -534,8 +613,8 @@ mod tests {
         log.extend_from_slice(&wire_u32(payload.len()).to_le_bytes());
         log.extend_from_slice(&checksum(&payload).to_le_bytes());
         log.extend_from_slice(&payload);
-        let (batches, report) = decode_batches(&log);
-        assert!(batches.is_empty());
+        let (sizes, report) = scan_batches(&log);
+        assert!(sizes.is_empty());
         assert_eq!(report.corruption, Some(Corruption::ChecksumMismatch { at: 0 }));
 
         // Batch length of u32::MAX: a torn tail, not an OOB read.
@@ -543,13 +622,13 @@ mod tests {
         log.extend_from_slice(&1u32.to_le_bytes());
         log.extend_from_slice(&u32::MAX.to_le_bytes());
         log.extend_from_slice(&0u64.to_le_bytes());
-        let (batches, report) = decode_batches(&log);
-        assert!(batches.is_empty());
+        let (sizes, report) = scan_batches(&log);
+        assert!(sizes.is_empty());
         assert_eq!(report.corruption, Some(Corruption::TornTail { at: 0 }));
 
         // A header shorter than BATCH_HEADER bytes: torn tail too.
-        let (batches, report) = decode_batches(&[1, 2, 3]);
-        assert!(batches.is_empty());
+        let (sizes, report) = scan_batches(&[1, 2, 3]);
+        assert!(sizes.is_empty());
         assert_eq!(report.corruption, Some(Corruption::TornTail { at: 0 }));
     }
 
@@ -619,8 +698,8 @@ mod tests {
             single.append(put(i), t(0));
         }
         grouped.sync();
-        assert_eq!(grouped.durable().len(), 64);
-        assert_eq!(single.durable().len(), 64);
+        assert_eq!(grouped.durable_len(), 64);
+        assert_eq!(single.durable_len(), 64);
         assert_eq!(grouped.stats.get("batches"), 1);
         assert_eq!(single.stats.get("batches"), 64);
         assert_eq!(

@@ -100,6 +100,11 @@ impl ShardedKv {
         self.parallel_apply = on;
     }
 
+    /// Whether batches apply shards in parallel.
+    pub fn parallel_apply(&self) -> bool {
+        self.parallel_apply
+    }
+
     /// Wall seconds each shard spent applying its queue in the last
     /// [`apply_batch`]. The maximum is the batch's critical path.
     ///

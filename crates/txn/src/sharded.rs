@@ -255,6 +255,16 @@ impl ShardedMvcc {
         self.ids.next()
     }
 
+    /// Allocate no transaction id below `next` from now on. Recovery
+    /// calls this with one past the largest id in the log: a reused id
+    /// would merge an orphaned prepare into a new transaction's records
+    /// on the next replay.
+    pub fn reserve_txn_ids_below(&mut self, next: u64) {
+        if self.ids.allocated() < next {
+            self.ids = IdGen::starting_at(next);
+        }
+    }
+
     /// Garbage-collect every shard at `horizon`; total versions dropped.
     pub fn gc(&self, horizon: u64) -> usize {
         self.stores().map(|s| s.gc(horizon)).sum()

@@ -450,6 +450,341 @@ mod durable_engine {
     }
 }
 
+// ---- Recovery differential -------------------------------------------
+//
+// Seeded random `DurableOp` streams run against an engine that crashes
+// (mid-2PC along the way, and with a torn tail or bit flip at the end)
+// and against a twin that never crashes. The twin replays exactly the
+// steps whose records survived the final crash; after recovery both
+// must agree on the engine bytes, the MVCC chain digest, and the ids of
+// the next drained events. The last check is what catches a recovery
+// that drops its replayed events without numbering them.
+
+mod recovery_differential {
+    use mv_common::geom::{Aabb, Point};
+    use mv_common::id::EntityId;
+    use mv_common::seeded_rng;
+    use mv_common::time::SimTime;
+    use mv_common::Space;
+    use mv_core::{DurableMetaverse, EntityKind, MetaTxn, TxnCrashPoint, WriteOp};
+    use mv_storage::kv::KvConfig;
+    use mv_storage::GroupCommitPolicy;
+    use rand::rngs::StdRng;
+    use rand::Rng;
+
+    const SHARDS: usize = 2;
+    /// Entities spawned (with 100 gold each) before the stream starts.
+    const START: u64 = 16;
+    const STEPS: usize = 80;
+    const SEEDS: u64 = 40;
+
+    /// One step of a stream. Ids are drawn a little past the spawned
+    /// range, so some writes hit unknown entities, and retires make
+    /// later writes hit retired ones.
+    #[derive(Debug)]
+    enum Step {
+        Spawn(Point),
+        Write(WriteOp),
+        Batch(Vec<WriteOp>),
+        Retire(EntityId),
+        Area { region: Aabb, retire: bool },
+        Commit,
+        /// A transfer, committed or explicitly aborted.
+        Transfer { from: EntityId, to: EntityId, amount: f64, abort: bool },
+        /// Two transfers out of `from` on one snapshot: the second
+        /// aborts on a serializable conflict.
+        Race { from: EntityId, to: [EntityId; 2] },
+        /// `commit`, then a transfer whose commit stops dead at `point`
+        /// and a crash and recovery of the engine under test.
+        CrashTxn { from: EntityId, to: EntityId, point: TxnCrashPoint },
+    }
+
+    fn t(ms: u64) -> SimTime {
+        SimTime::from_millis(ms)
+    }
+
+    /// Steps run at distinct milliseconds, so every oracle timestamp a
+    /// step draws sits above those of earlier steps.
+    fn at(step: usize) -> SimTime {
+        t(step as u64 + 10)
+    }
+
+    fn point(rng: &mut StdRng) -> Point {
+        Point::new(rng.gen_range(0.0..60.0), rng.gen_range(0.0..60.0))
+    }
+
+    fn write(rng: &mut StdRng, id: EntityId, ts: SimTime) -> WriteOp {
+        if rng.gen_bool(0.6) {
+            WriteOp::Position { id, position: point(rng), ts }
+        } else {
+            let name = if rng.gen_bool(0.5) { "gold" } else { "hp" };
+            WriteOp::Attr { id, name: name.into(), value: rng.gen_range(0.0..50.0), ts }
+        }
+    }
+
+    fn stream(seed: u64) -> Vec<Step> {
+        let mut rng = seeded_rng(seed);
+        let mut spawned = START;
+        let points = TxnCrashPoint::sweep(2);
+        (0..STEPS)
+            .map(|i| {
+                let ts = at(i);
+                let hi = spawned + 3;
+                let id = move |rng: &mut StdRng| EntityId::new(rng.gen_range(0..hi));
+                match rng.gen_range(0..100u32) {
+                    0..=5 => {
+                        spawned += 1;
+                        Step::Spawn(point(&mut rng))
+                    }
+                    6..=35 => {
+                        let target = id(&mut rng);
+                        Step::Write(write(&mut rng, target, ts))
+                    }
+                    36..=45 => {
+                        let n = rng.gen_range(1..7);
+                        Step::Batch(
+                            (0..n)
+                                .map(|_| {
+                                    let target = id(&mut rng);
+                                    write(&mut rng, target, ts)
+                                })
+                                .collect(),
+                        )
+                    }
+                    46..=49 => Step::Retire(id(&mut rng)),
+                    50..=52 => Step::Area {
+                        region: Aabb::centered(point(&mut rng), rng.gen_range(3.0..15.0)),
+                        retire: rng.gen_bool(0.5),
+                    },
+                    53..=67 => Step::Commit,
+                    68..=82 => Step::Transfer {
+                        from: id(&mut rng),
+                        to: id(&mut rng),
+                        amount: rng.gen_range(1.0..9.0),
+                        abort: rng.gen_bool(0.25),
+                    },
+                    83..=89 => Step::Race { from: id(&mut rng), to: [id(&mut rng), id(&mut rng)] },
+                    _ => Step::CrashTxn {
+                        from: id(&mut rng),
+                        to: id(&mut rng),
+                        point: points[rng.gen_range(0..points.len())],
+                    },
+                }
+            })
+            .collect()
+    }
+
+    fn world() -> DurableMetaverse {
+        // Batches seal only on `commit`/`sync`, so every frame boundary
+        // is a commit point of some step.
+        let mut dm = DurableMetaverse::new(
+            SHARDS,
+            SHARDS,
+            KvConfig { memtable_budget: 2 << 10, ..KvConfig::default() },
+            GroupCommitPolicy::by_records(usize::MAX),
+        );
+        for i in 0..START {
+            let id = dm.spawn(format!("e{i}"), EntityKind::Person, Point::new(i as f64, 0.0), t(1));
+            dm.update_attr(id, "gold", 100.0, t(1)).expect("just spawned");
+        }
+        dm.commit(t(1));
+        dm
+    }
+
+    fn transfer(
+        dm: &mut DurableMetaverse,
+        from: EntityId,
+        to: EntityId,
+        amount: f64,
+        now: SimTime,
+    ) -> MetaTxn {
+        let mut txn = dm.txn(now);
+        let a = dm.txn_read_attr(&mut txn, from, "gold").unwrap_or(0.0);
+        let b = dm.txn_read_attr(&mut txn, to, "gold").unwrap_or(0.0);
+        txn.write_attr(from, "gold", a - amount, now);
+        txn.write_attr(to, "gold", b + amount, now);
+        txn
+    }
+
+    /// Run a step that does not crash. Returns the number of
+    /// transactions that aborted on a conflict.
+    fn apply(dm: &mut DurableMetaverse, step: &Step, now: SimTime) -> usize {
+        match step {
+            Step::Spawn(p) => {
+                dm.spawn("late", EntityKind::Avatar, *p, now);
+            }
+            Step::Write(WriteOp::Position { id, position, ts }) => {
+                let _ = dm.update_position(*id, *position, *ts);
+            }
+            Step::Write(WriteOp::Attr { id, name, value, ts }) => {
+                let _ = dm.update_attr(*id, name, *value, *ts);
+            }
+            Step::Batch(ops) => {
+                dm.apply_batch(ops);
+            }
+            Step::Retire(id) => {
+                let _ = dm.retire(*id, now);
+            }
+            Step::Area { region, retire } => {
+                dm.area_effect(Space::Virtual, "raid", *region, "perish", *retire, now);
+            }
+            Step::Commit => {
+                dm.commit(now);
+            }
+            Step::Transfer { from, to, amount, abort } => {
+                let txn = transfer(dm, *from, *to, *amount, now);
+                if *abort {
+                    dm.abort_txn(txn, now);
+                } else {
+                    dm.commit_txn(txn, now).expect("a lone transaction never conflicts");
+                }
+            }
+            Step::Race { from, to } => {
+                let first = transfer(dm, *from, to[0], 1.0, now);
+                let second = transfer(dm, *from, to[1], 2.0, now);
+                dm.commit_txn(first, now).expect("the first writer wins");
+                return usize::from(dm.commit_txn(second, now).is_err());
+            }
+            Step::CrashTxn { .. } => unreachable!("crash steps run in `run_crashing`"),
+        }
+        0
+    }
+
+    struct Crashed {
+        dm: DurableMetaverse,
+        /// Log length after each step.
+        lens: Vec<usize>,
+        /// Log length before the first step.
+        setup_len: usize,
+        /// Per crash step: whether its transaction reached the commit
+        /// point (and so survives recovery).
+        durable_txn: Vec<bool>,
+        conflicts: usize,
+    }
+
+    /// The engine under test: runs every step, crashing where told.
+    fn run_crashing(steps: &[Step]) -> Crashed {
+        let mut dm = world();
+        let setup_len = dm.wal.encoded_len();
+        let (mut lens, mut durable_txn, mut conflicts) = (Vec::new(), Vec::new(), 0);
+        for (i, step) in steps.iter().enumerate() {
+            let now = at(i);
+            if let Step::CrashTxn { from, to, point } = step {
+                dm.commit(now);
+                let txn = transfer(&mut dm, *from, *to, 3.0, now);
+                let outcome = dm.commit_txn_crashing(txn, now, Some(*point));
+                // The point may never fire (a single-shard commit has no
+                // second prepare), in which case the commit completed.
+                durable_txn.push(match outcome {
+                    Ok(Some(_)) => true,
+                    Ok(None) => *point == TxnCrashPoint::AfterDecisionSync,
+                    Err(_) => false,
+                });
+                dm.crash_and_recover();
+            } else {
+                conflicts += apply(&mut dm, step, now);
+            }
+            lens.push(dm.wal.encoded_len());
+        }
+        Crashed { dm, lens, setup_len, durable_txn, conflicts }
+    }
+
+    /// How many leading steps the twin must run to match a log cut
+    /// at `valid` bytes, and whether the last of them is cut mid-step
+    /// (a commit whose first batch survived without its decision, so
+    /// the steps before it survive and its transaction does not).
+    fn surviving_steps(c: &Crashed, valid: usize) -> (usize, bool) {
+        let before = |i: usize| if i == 0 { c.setup_len } else { c.lens[i - 1] };
+        // Steps that sealed a batch: everything before them is sealed.
+        let sealing: Vec<usize> = (0..c.lens.len()).filter(|&i| c.lens[i] > before(i)).collect();
+        match sealing.iter().find(|&&i| c.lens[i] > valid) {
+            Some(&k) if before(k) < valid => (k + 1, true),
+            Some(&k) => (sealing.iter().rev().find(|&&i| i < k).map_or(0, |&i| i + 1), false),
+            None => (sealing.last().map_or(0, |&i| i + 1), false),
+        }
+    }
+
+    /// The twin: never crashes, runs the first `n` steps (the last one
+    /// only up to its cut when `cut`), then drains and collects like a
+    /// live engine would at its next commit.
+    fn run_twin(steps: &[Step], c: &Crashed, n: usize, cut: bool) -> DurableMetaverse {
+        let mut twin = world();
+        let mut crash_steps = c.durable_txn.iter();
+        for (i, step) in steps.iter().enumerate().take(n) {
+            let now = at(i);
+            let last_cut = cut && i + 1 == n;
+            match step {
+                Step::CrashTxn { from, to, .. } => {
+                    let durable = *crash_steps.next().expect("one outcome per crash step");
+                    if durable && !last_cut {
+                        let txn = transfer(&mut twin, *from, *to, 3.0, now);
+                        twin.commit_txn(txn, now).expect("the crashed twin committed it");
+                    }
+                }
+                // A cut transfer or race committed nothing durable.
+                Step::Transfer { .. } | Step::Race { .. } if last_cut => {}
+                other => {
+                    apply(&mut twin, other, now);
+                }
+            }
+        }
+        twin.commit(at(n));
+        twin.txn_auto_gc();
+        twin
+    }
+
+    #[test]
+    fn recovery_matches_a_twin_that_never_crashed() {
+        let (mut conflicts, mut crashes, mut corrupt, mut cut_steps) = (0, 0, 0, 0);
+        for seed in 0..SEEDS {
+            let steps = stream(seed);
+            let mut c = run_crashing(&steps);
+            let mut rng = seeded_rng(seed ^ 0xfa17);
+            let end = c.dm.wal.encoded_len();
+            if end > c.setup_len {
+                let offset = rng.gen_range(c.setup_len..end);
+                if rng.gen_bool(0.5) {
+                    c.dm.wal.inject_torn_write(offset);
+                } else {
+                    assert!(c.dm.wal.inject_bit_flip(offset, rng.gen_range(0..8u8)));
+                }
+            }
+            let report = c.dm.crash_and_recover();
+            assert!(report.valid_bytes >= c.setup_len, "seed {seed}: the world setup survives");
+            let (n, cut) = surviving_steps(&c, report.valid_bytes);
+            let mut twin = run_twin(&steps, &c, n, cut);
+            let dm = &mut c.dm;
+
+            assert_eq!(dm.state_encoding(), twin.state_encoding(), "seed {seed}: engine bytes");
+            assert_eq!(dm.txn_digest(), twin.txn_digest(), "seed {seed}: MVCC chains");
+            let next_ids = |dm: &DurableMetaverse| dm.engine().next_event_id();
+            assert_eq!(next_ids(dm), next_ids(&twin), "seed {seed}: event ids");
+
+            // The same round on both: the next drained events carry the
+            // same ids, and the engines stay identical.
+            let now = at(STEPS + 1);
+            for side in [&mut *dm, &mut twin] {
+                let id = side.spawn("probe", EntityKind::Vehicle, Point::new(5.0, 5.0), now);
+                side.update_position(id, Point::new(40.0, 40.0), now).expect("just spawned");
+                let _ = side.update_attr(EntityId::new(0), "hp", 7.0, now);
+            }
+            assert_eq!(dm.commit(now), twin.commit(now), "seed {seed}: events drained");
+            assert_eq!(next_ids(dm), next_ids(&twin), "seed {seed}: next ids");
+            assert_eq!(dm.state_encoding(), twin.state_encoding(), "seed {seed}: after the round");
+
+            conflicts += c.conflicts;
+            crashes += c.durable_txn.len();
+            corrupt += usize::from(report.corruption.is_some());
+            cut_steps += usize::from(cut);
+        }
+        // The streams reach every path they are meant to.
+        assert!(conflicts > 0, "some transactions abort on conflicts");
+        assert!(crashes > SEEDS as usize, "crashes mid-2PC");
+        assert!(corrupt > SEEDS as usize / 2, "most final logs are damaged");
+        assert!(cut_steps > 0, "some cuts fall between a prepare and its decision");
+    }
+}
+
 #[test]
 fn same_seed_runs_are_byte_identical() {
     // (c) The whole scenario — fault schedule, loss draws, retry jitter,
