@@ -252,6 +252,18 @@ impl EntityArena {
         }
     }
 
+    /// `(id, kind, position, twin position)` of every live row, in slot
+    /// order (what the engine rebuilds its spatial grids from).
+    pub fn live_rows(&self) -> impl Iterator<Item = (EntityId, EntityKind, Point, Point)> + '_ {
+        self.ids
+            .iter()
+            .zip(&self.kinds)
+            .zip(self.positions.iter().zip(&self.twin_positions))
+            .zip(&self.retired)
+            .filter(|(_, &retired)| !retired)
+            .map(|(((&id, &kind), (&p, &t)), _)| (id, kind, p, t))
+    }
+
     /// `(sum, max, live count)` of twin divergences in ascending-id
     /// order — f64 addition is not associative, so the fold order is
     /// pinned. In the common case (spawn order = id order) this is one

@@ -17,12 +17,18 @@
 //! corrupt *batch*, lose the unsynced tail wholesale) and replays the
 //! surviving ops into a fresh engine. The log is the only copy of the
 //! durable records: each op decodes straight from its checksummed frame
-//! in the WAL's byte image, and the events replay regenerates are
-//! dropped unread (only the event-id counter advances). The engine is
-//! deterministic — same ops, same order, same state — so the recovered
-//! state is *byte-identical* to the pre-crash engine at the last
-//! durable point, which [`DurableMetaverse::state_encoding`] makes
-//! checkable byte-for-byte (`tests/fault_recovery.rs` does).
+//! in the WAL's byte image (a spawn's name moves into the engine), and
+//! the events replay regenerates are dropped unread (only the event-id
+//! counter advances). Replay writes the entity arenas only; the spatial
+//! grids are rebuilt from them once at the end, or earlier when a
+//! logged area effect has to scan them. Plain writes reinstall their
+//! MVCC versions as on the live path — replacing the key's chain while
+//! no snapshot is live. The engine is deterministic — same ops, same
+//! order, same state — so the recovered state is *byte-identical* to
+//! the pre-crash engine at the last durable point, which
+//! [`DurableMetaverse::state_encoding`] makes checkable byte-for-byte
+//! (`tests/fault_recovery.rs` does, and also compares spatial queries
+//! and MVCC chains).
 
 use crate::arena::EntityRef;
 use crate::entity::EntityKind;
@@ -246,6 +252,35 @@ fn read_point(r: &mut SliceReader<'_>) -> Option<Point> {
     Some(Point::new(r.f64()?, r.f64()?))
 }
 
+/// The canonical form of a [`DurableOp::Position`].
+fn put_position_op(out: &mut Vec<u8>, id: EntityId, position: Point, ts: SimTime) {
+    out.push(2);
+    put_u64(out, id.raw());
+    put_point(out, position);
+    put_u64(out, ts.as_micros());
+}
+
+/// The canonical form of a [`DurableOp::Attr`].
+fn put_attr_op(out: &mut Vec<u8>, id: EntityId, name: &str, value: f64, ts: SimTime) {
+    out.push(3);
+    put_u64(out, id.raw());
+    put_str(out, name);
+    put_f64(out, value);
+    put_u64(out, ts.as_micros());
+}
+
+/// The canonical form of the [`DurableOp`] a batched write logs as
+/// (the bytes of `DurableOp::from_write(op).encode()`, without the
+/// intermediate op).
+fn encode_write(op: &WriteOp) -> Vec<u8> {
+    let mut out = Vec::new();
+    match op {
+        WriteOp::Position { id, position, ts } => put_position_op(&mut out, *id, *position, *ts),
+        WriteOp::Attr { id, name, value, ts } => put_attr_op(&mut out, *id, name, *value, *ts),
+    }
+    out
+}
+
 impl DurableOp {
     /// Encode into the canonical byte form (a WAL record value).
     pub fn encode(&self) -> Vec<u8> {
@@ -259,17 +294,10 @@ impl DurableOp {
                 put_u64(&mut out, ts.as_micros());
             }
             DurableOp::Position { id, position, ts } => {
-                out.push(2);
-                put_u64(&mut out, id.raw());
-                put_point(&mut out, *position);
-                put_u64(&mut out, ts.as_micros());
+                put_position_op(&mut out, *id, *position, *ts);
             }
             DurableOp::Attr { id, name, value, ts } => {
-                out.push(3);
-                put_u64(&mut out, id.raw());
-                put_str(&mut out, name);
-                put_f64(&mut out, *value);
-                put_u64(&mut out, ts.as_micros());
+                put_attr_op(&mut out, *id, name, *value, *ts);
             }
             DurableOp::Retire { id, ts } => {
                 out.push(4);
@@ -509,9 +537,14 @@ impl DurableMetaverse {
     /// `storage.wal.group_commit` span that closes when the op's batch
     /// seals (its duration is the group-commit wait the op paid).
     pub(crate) fn log_with(&mut self, op: &DurableOp, ctx: Option<TraceCtx>) {
+        self.append(op.encode(), op.ts(), ctx);
+    }
+
+    /// Append one encoded op under the next WAL key.
+    fn append(&mut self, value: Vec<u8>, ts: SimTime, ctx: Option<TraceCtx>) {
         let key = self.lsn.to_le_bytes().to_vec();
         self.lsn += 1;
-        self.wal.append_traced(WalRecord::Put { key, value: op.encode() }, op.ts(), ctx);
+        self.wal.append_traced(WalRecord::Put { key, value }, ts, ctx);
     }
 
     /// Resolve the context for one ingested op: adopt the caller's, or
@@ -562,12 +595,12 @@ impl DurableMetaverse {
     /// partitioning preserves per entity).
     pub fn apply_batch(&mut self, ops: &[WriteOp]) -> Vec<MvResult<bool>> {
         for op in ops {
-            self.log(&DurableOp::from_write(op));
+            self.append(encode_write(op), op.ts(), None);
         }
         let results = self.engine.apply_batch(ops);
         for (op, r) in ops.iter().zip(&results) {
             if r.is_ok() {
-                self.txns.install_plain(&DurableOp::from_write(op));
+                self.txns.install_plain_write(op);
             }
         }
         results
@@ -675,14 +708,15 @@ impl DurableMetaverse {
     /// stores apply their partitions with the ownership discipline E17
     /// times). Returns the number of events drained.
     pub fn drain_to_storage(&mut self) -> usize {
-        let events = self.engine.drain_events();
-        let mut touched: Vec<EntityId> =
-            events.iter().filter_map(|e| e.entity).collect();
+        // Only *which* entities changed matters here, so the events are
+        // not merge-sorted; their ids are still consumed like a drain's.
+        let mut touched = Vec::new();
+        let drained = self.engine.drain_touched(&mut touched);
         touched.sort_unstable();
         touched.dedup();
         let records = self.snapshot_records(&touched);
         self.kv.apply_batch(&records);
-        events.len()
+        drained
     }
 
     /// KV snapshot records for the given entities (key = raw id bytes,
@@ -708,6 +742,10 @@ impl DurableMetaverse {
     /// byte-identical (per [`Self::state_encoding`]) to the pre-crash
     /// engine at the last durable point.
     ///
+    /// Replay writes each shard's entity arena only: the spatial grids
+    /// are rebuilt once at the end, from the recovered positions, and
+    /// early only when a logged area effect has to scan them.
+    ///
     /// Transactional records resolve in-doubt state here: a
     /// [`DurableOp::TxnPrepare`] is buffered, never applied on its own;
     /// a [`DurableOp::TxnDecision`] with `commit` replays the buffered
@@ -720,6 +758,7 @@ impl DurableMetaverse {
         let kv_parallel = self.kv.parallel_apply();
         self.engine = ShardedMetaverse::with_defaults(self.engine_shards);
         self.engine.set_parallel_apply(engine_parallel);
+        self.engine.suspend_indexes();
         self.kv = ShardedKv::new(self.kv_shards, self.kv_config);
         self.kv.set_parallel_apply(kv_parallel);
         self.ids = Vec::new();
@@ -749,20 +788,13 @@ impl DurableMetaverse {
                     if commit {
                         self.txns.install_recovered(&ops, commit_ts);
                         for op in &ops {
-                            Self::replay(&mut self.engine, &mut self.ids, op);
+                            Self::apply_leaf(&mut self.engine, op);
                         }
                     } else {
                         self.txns.stats.incr("recovered_aborts");
                     }
                 }
-                other => {
-                    // Recovery mirrors the live path: a plain write that
-                    // the engine accepts reinstalls its MVCC version at
-                    // the same oracle-drawn timestamp.
-                    if Self::replay(&mut self.engine, &mut self.ids, &other) {
-                        self.txns.install_plain(&other);
-                    }
-                }
+                plain => Self::replay(&mut self.engine, &mut self.ids, &mut self.txns, plain),
             }
         }
         self.txns.stats.add("indoubt_aborted", prepared.len() as u64);
@@ -774,50 +806,71 @@ impl DurableMetaverse {
         // horizon: one final automatic collection lands the rebuilt
         // chains in the same maximally-trimmed state the live path's
         // per-commit collector maintains (the differential harness
-        // compares chain digests against a live twin).
+        // compares chain digests against a live twin). Plain writes
+        // already replaced their chains; this trims what recovered
+        // transactions appended.
         let trimmed = self.txns.mvcc.auto_gc();
         if trimmed > 0 {
             self.txns.stats.add("gc_versions_auto", trimmed as u64);
         }
-        // Drop the last regenerated events, then rebuild the
-        // materialized store from the recovered entities.
+        // Drop the last regenerated events, build the spatial grids
+        // from the recovered arenas, then rebuild the materialized store
+        // from the recovered entities.
         self.engine.discard_events();
+        self.engine.resume_indexes();
         self.lsn = self.wal.durable_len() as u64;
         let records = self.snapshot_records(&self.ids);
         self.kv.apply_batch(&records);
         report
     }
 
-    /// Re-execute one recovered op. Errors are deliberately swallowed:
-    /// an op that failed pre-crash (e.g. an update racing a retire)
-    /// fails identically on replay — determinism, not error handling,
-    /// is what recovery needs. Returns whether the engine accepted the
-    /// op (recovery uses this to mirror the live path's conditional
-    /// MVCC install). Transactional envelopes are never applied here
-    /// (`crash_and_recover` resolves them; the live commit path replays
-    /// their leaf ops directly).
-    pub(crate) fn replay(
+    /// Re-execute one recovered non-transactional op, moving its
+    /// strings into the engine. Errors are swallowed as in
+    /// [`Self::apply_leaf`]. A position or attribute write the engine
+    /// accepts reinstalls its MVCC version at the same oracle-drawn
+    /// timestamp, mirroring the live path. (Takes the fields it writes,
+    /// not `&mut self`: the WAL stays borrowed for the walk.)
+    fn replay(
         engine: &mut ShardedMetaverse,
         ids: &mut Vec<EntityId>,
-        op: &DurableOp,
-    ) -> bool {
+        txns: &mut crate::txn::TxnState,
+        op: DurableOp,
+    ) {
         match op {
             DurableOp::Spawn { name, kind, position, ts } => {
-                ids.push(engine.spawn(name.as_str(), *kind, *position, *ts));
-                true
+                ids.push(engine.spawn(name, kind, position, ts));
             }
+            DurableOp::Retire { id, ts } => {
+                let _ = engine.retire(id, ts);
+            }
+            DurableOp::AreaEffect { space, effect, region, action, retire, ts } => {
+                let _ = engine.area_effect(space, &effect, region, &action, retire, ts);
+            }
+            leaf => {
+                if Self::apply_leaf(engine, &leaf) {
+                    txns.install_plain(&leaf);
+                }
+            }
+        }
+    }
+
+    /// Apply one transactional leaf op ([`DurableOp::Position`] or
+    /// [`DurableOp::Attr`]) to the engine; any other op is refused.
+    /// Returns whether the engine accepted it. Errors are deliberately
+    /// swallowed: an op that failed pre-crash (e.g. an update racing a
+    /// retire) fails identically on replay — determinism, not error
+    /// handling, is what recovery needs. The live commit path applies
+    /// committed transactions through this too, in the order recovery
+    /// replays them.
+    pub(crate) fn apply_leaf(engine: &mut ShardedMetaverse, op: &DurableOp) -> bool {
+        match op {
             DurableOp::Position { id, position, ts } => {
                 engine.update_position(*id, *position, *ts).is_ok()
             }
             DurableOp::Attr { id, name, value, ts } => {
                 engine.update_attr(*id, name, *value, *ts).is_ok()
             }
-            DurableOp::Retire { id, ts } => engine.retire(*id, *ts).is_ok(),
-            DurableOp::AreaEffect { space, effect, region, action, retire, ts } => {
-                let _ = engine.area_effect(*space, effect, *region, action, *retire, *ts);
-                true
-            }
-            DurableOp::TxnPrepare { .. } | DurableOp::TxnDecision { .. } => false,
+            _ => false,
         }
     }
 
@@ -897,6 +950,17 @@ mod tests {
             }
         }
         assert_eq!(DurableOp::decode(&[99]), None, "unknown tag");
+    }
+
+    #[test]
+    fn batched_writes_log_the_bytes_of_their_durable_ops() {
+        let writes = [
+            WriteOp::Position { id: EntityId::new(42), position: p(1.0, -2.0), ts: t(8) },
+            WriteOp::Attr { id: EntityId::new(3), name: "fuel".into(), value: 0.75, ts: t(9) },
+        ];
+        for op in &writes {
+            assert_eq!(encode_write(op), DurableOp::from_write(op).encode(), "{op:?}");
+        }
     }
 
     #[test]

@@ -52,6 +52,14 @@ pub struct Metaverse {
     clock: SimTime,
     /// `sync_msgs`, `suppressed_syncs`, `commands` counters.
     pub stats: Counters,
+    /// While set, spawns, moves and retires write the arena only and
+    /// leave the four grids stale; [`Metaverse::refresh_indexes`]
+    /// rebuilds them from the arena in one pass. Crash recovery sets it
+    /// for the length of its replay (see
+    /// `ShardedMetaverse::suspend_indexes`).
+    indexes_suspended: bool,
+    /// True when a suspended mutation skipped the grids.
+    indexes_stale: bool,
 }
 
 fn space_slot(space: Space) -> usize {
@@ -73,6 +81,8 @@ impl Metaverse {
             bus: EventBus::new(),
             clock: SimTime::ZERO,
             stats: Counters::new(),
+            indexes_suspended: false,
+            indexes_stale: false,
         }
     }
 
@@ -113,8 +123,10 @@ impl Metaverse {
         let id = entity.id;
         let position = entity.position;
         let auth = entity.kind.authoritative_space();
-        self.truth_index[space_slot(auth)].insert(id, position);
-        self.twin_index[space_slot(auth.other())].insert(id, position);
+        if self.maintain_indexes() {
+            self.truth_index[space_slot(auth)].insert(id, position);
+            self.twin_index[space_slot(auth.other())].insert(id, position);
+        }
         self.entities.insert(entity);
         self.bus.emit(now, auth, Some(id), EventKind::Moved);
     }
@@ -145,11 +157,16 @@ impl Metaverse {
         }
         self.entities.set_position(slot, position);
         let auth = self.entities.kind(slot).authoritative_space();
-        self.truth_index[space_slot(auth)].update(id, position);
+        let indexed = self.maintain_indexes();
+        if indexed {
+            self.truth_index[space_slot(auth)].update(id, position);
+        }
         let diverged = self.entities.divergence(slot) > policy.position_bound;
         if diverged {
             self.entities.set_twin_position(slot, position);
-            self.twin_index[space_slot(auth.other())].update(id, position);
+            if indexed {
+                self.twin_index[space_slot(auth.other())].update(id, position);
+            }
             self.stats.incr("sync_msgs");
             self.bus.emit(now, auth.other(), Some(id), EventKind::TwinSynced);
         } else {
@@ -303,7 +320,8 @@ impl Metaverse {
     }
 
     /// Live twins materialized in `space` inside `region` — the targets an
-    /// area effect raised in that space would hit (unsorted).
+    /// area effect raised in that space would hit (unsorted). Reads the
+    /// twin grid, so stale grids must be refreshed first.
     pub(crate) fn affected_twins(&self, space: Space, region: &Aabb) -> Vec<EntityId> {
         self.twin_index[space_slot(space)]
             .range(region)
@@ -345,8 +363,10 @@ impl Metaverse {
         }
         self.entities.retire(slot);
         let auth = self.entities.kind(slot).authoritative_space();
-        self.truth_index[space_slot(auth)].remove(id);
-        self.twin_index[space_slot(auth.other())].remove(id);
+        if self.maintain_indexes() {
+            self.truth_index[space_slot(auth)].remove(id);
+            self.twin_index[space_slot(auth.other())].remove(id);
+        }
         self.bus.emit(now, auth, Some(id), EventKind::Retired);
         Ok(())
     }
@@ -385,6 +405,49 @@ impl Metaverse {
     /// Drain the event log.
     pub fn drain_events(&mut self) -> Vec<CoEvent> {
         self.bus.drain()
+    }
+
+    /// Whether a mutation should update the grids now. Under
+    /// suspension it should not, and the grids are marked stale.
+    fn maintain_indexes(&mut self) -> bool {
+        self.indexes_stale |= self.indexes_suspended;
+        !self.indexes_suspended
+    }
+
+    /// Stop maintaining the grids on spawn, move and retire until
+    /// [`Metaverse::resume_indexes`].
+    pub(crate) fn suspend_indexes(&mut self) {
+        self.indexes_suspended = true;
+    }
+
+    /// Bring stale grids up to date with the arena: truth entries at
+    /// `position`, twin entries at `twin_position`, retired rows left
+    /// out — exactly what incremental maintenance would hold. A no-op
+    /// unless a suspended mutation skipped them.
+    pub(crate) fn refresh_indexes(&mut self) {
+        if !self.indexes_stale {
+            return;
+        }
+        for grid in self.truth_index.iter_mut().chain(self.twin_index.iter_mut()) {
+            *grid = GridIndex::new(grid.cell_size());
+        }
+        let ([truth_p, truth_v], [twin_p, twin_v]) = (&mut self.truth_index, &mut self.twin_index);
+        for (id, kind, position, twin_position) in self.entities.live_rows() {
+            // The twin lives in the space opposite the entity's authority.
+            let (truth, twin) = match kind.authoritative_space() {
+                Space::Physical => (&mut *truth_p, &mut *twin_v),
+                Space::Virtual => (&mut *truth_v, &mut *twin_p),
+            };
+            truth.insert(id, position);
+            twin.insert(id, twin_position);
+        }
+        self.indexes_stale = false;
+    }
+
+    /// Refresh the grids and maintain them incrementally again.
+    pub(crate) fn resume_indexes(&mut self) {
+        self.refresh_indexes();
+        self.indexes_suspended = false;
     }
 }
 

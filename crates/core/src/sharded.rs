@@ -450,6 +450,9 @@ impl ShardedMetaverse {
         now: SimTime,
     ) -> Vec<Command> {
         self.advance(now);
+        // The target scan reads the twin grids: bring any left stale by
+        // a suspended replay up to date first (a no-op otherwise).
+        self.shards.iter_mut().for_each(Metaverse::refresh_indexes);
         // The area-effect fact is a global (entity-less) event; record it
         // once. Shard 0 hosts globals so the merged log sees it exactly
         // once, like the sequential engine's log does.
@@ -467,6 +470,30 @@ impl ShardedMetaverse {
                 self.shards[owner].relay_command(id, action, retire, now)
             })
             .collect()
+    }
+
+    /// Stop maintaining the spatial grids: until
+    /// [`Self::resume_indexes`], spawns, moves and retires write each
+    /// shard's entity arena only. Crash recovery replays under this and
+    /// rebuilds every grid once at the end; an area effect in the log
+    /// refreshes the grids before it scans them, so replay stays exact.
+    pub(crate) fn suspend_indexes(&mut self) {
+        self.shards.iter_mut().for_each(Metaverse::suspend_indexes);
+    }
+
+    /// Rebuild every grid a suspended mutation left stale, in one pass
+    /// over each shard's arena (shards on scoped threads in parallel
+    /// apply mode), and maintain them incrementally again.
+    pub(crate) fn resume_indexes(&mut self) {
+        if self.parallel_apply {
+            std::thread::scope(|scope| {
+                for shard in &mut self.shards {
+                    scope.spawn(|| shard.resume_indexes());
+                }
+            });
+        } else {
+            self.shards.iter_mut().for_each(Metaverse::resume_indexes);
+        }
     }
 
     /// Mean twin divergence over live entities across all shards.
@@ -530,9 +557,25 @@ impl ShardedMetaverse {
             .collect()
     }
 
+    /// Drain every shard's buffered events, appending each event's
+    /// entity id to `touched` (unsorted, repeats kept) and numbering the
+    /// events as [`Self::drain_events`] would: the event-id counter
+    /// advances by the count, which is returned. The durable commit
+    /// needs only which entities changed, so it skips the merge-sort.
+    pub(crate) fn drain_touched(&mut self, touched: &mut Vec<EntityId>) -> usize {
+        let mut count = 0;
+        for shard in &mut self.shards {
+            let events = shard.drain_events();
+            count += events.len();
+            touched.extend(events.iter().filter_map(|e| e.entity));
+        }
+        self.next_event += count as u64;
+        count
+    }
+
     /// The id the next drained event gets (the count of events
-    /// numbered so far by [`Self::drain_events`] and
-    /// [`Self::discard_events`]).
+    /// numbered so far by [`Self::drain_events`],
+    /// [`Self::discard_events`] and the durable commit's drain).
     pub fn next_event_id(&self) -> EventId {
         EventId::new(self.next_event)
     }
@@ -543,9 +586,7 @@ impl ShardedMetaverse {
     /// the count. Recovery uses this for the events replay regenerates,
     /// which need no merge order because nobody reads them.
     pub fn discard_events(&mut self) -> usize {
-        let count: usize = self.shards.iter_mut().map(|s| s.drain_events().len()).sum();
-        self.next_event += count as u64;
-        count
+        self.drain_touched(&mut Vec::new())
     }
 }
 
@@ -706,6 +747,26 @@ mod tests {
         let (drained, after_drain) = run(false);
         assert!(drained > 12, "spawns and the raid emitted events");
         assert_eq!(run(true), (drained, after_drain));
+    }
+
+    #[test]
+    fn durable_commit_advances_ids_like_a_drain() {
+        // The durable commit collects touched entities without merging
+        // the events; the ids it consumes must match a full drain's.
+        let run = |commit: bool| {
+            let mut dm = crate::durable::DurableMetaverse::with_defaults(4);
+            let ids: Vec<_> = (0..12)
+                .map(|i| dm.spawn(format!("e{i}"), EntityKind::Person, Point::new(i as f64, 0.0), t(0)))
+                .collect();
+            let region = Aabb::centered(Point::ORIGIN, 5.0);
+            dm.area_effect(Space::Virtual, "raid", region, "perish", true, t(1));
+            dm.update_position(ids[11], Point::new(300.0, 0.0), t(2)).ok();
+            let drained = if commit { dm.commit(t(2)) } else { dm.engine.drain_events().len() };
+            (drained, dm.engine().next_event_id())
+        };
+        let (drained, next) = run(true);
+        assert!(drained > 12, "spawns, the raid and the move emitted events");
+        assert_eq!((drained, next), run(false));
     }
 
     #[test]

@@ -42,9 +42,12 @@
 //! GC is automatic: every commit and abort collects at the oldest live
 //! snapshot's begin timestamp (a long-running transaction pins the
 //! horizon), and recovery finishes with one collection pass so rebuilt
-//! chains land in the same trimmed state.
+//! chains land in the same trimmed state. A plain write with no
+//! snapshot live skips the wait: its version replaces the key's chain,
+//! which is what that collection would leave.
 
 use crate::durable::{DurableMetaverse, DurableOp};
+use crate::sharded::WriteOp;
 use bytes::Bytes;
 use mv_common::geom::Point;
 use mv_common::codec::wire_u32;
@@ -69,18 +72,30 @@ const KEY_ATTR: u8 = 1;
 /// MVCC key for an entity's ground-truth position.
 pub(crate) fn pos_key(id: EntityId) -> Vec<u8> {
     let mut k = Vec::with_capacity(9);
-    k.push(KEY_POSITION);
-    k.extend_from_slice(&id.raw().to_le_bytes());
+    put_pos_key(&mut k, id);
     k
 }
 
 /// MVCC key for one entity attribute.
 pub(crate) fn attr_key(id: EntityId, name: &str) -> Vec<u8> {
     let mut k = Vec::with_capacity(9 + name.len());
+    put_attr_key(&mut k, id, name);
+    k
+}
+
+/// Write [`pos_key`] into `k` (cleared first).
+fn put_pos_key(k: &mut Vec<u8>, id: EntityId) {
+    k.clear();
+    k.push(KEY_POSITION);
+    k.extend_from_slice(&id.raw().to_le_bytes());
+}
+
+/// Write [`attr_key`] into `k` (cleared first).
+fn put_attr_key(k: &mut Vec<u8>, id: EntityId, name: &str) {
+    k.clear();
     k.push(KEY_ATTR);
     k.extend_from_slice(&id.raw().to_le_bytes());
     k.extend_from_slice(name.as_bytes());
-    k
 }
 
 /// Shard router: hash the embedded entity-id bytes exactly as the KV
@@ -128,6 +143,9 @@ pub(crate) fn mvcc_kv_for(op: &DurableOp) -> Option<(Vec<u8>, Option<Bytes>)> {
 pub(crate) struct TxnState {
     pub(crate) mvcc: ShardedMvcc,
     pub(crate) stats: StatSet,
+    /// Reused key buffer for plain installs (a chain copies its key
+    /// only on the key's first write).
+    key: Vec<u8>,
 }
 
 impl TxnState {
@@ -135,6 +153,7 @@ impl TxnState {
         TxnState {
             mvcc: ShardedMvcc::new(shards.max(1), IsolationLevel::Serializable, txn_route),
             stats: StatSet::new("core.txn"),
+            key: Vec::new(),
         }
     }
 
@@ -161,14 +180,41 @@ impl TxnState {
     /// version store, so a transactional snapshot can never observe a
     /// torn read from a bypassing write (the old §10 anomaly). Called on
     /// the live path after the engine accepts the write, and on recovery
-    /// after a successful replay — same order, same timestamps, so the
-    /// rebuilt chains stay byte-identical.
+    /// after a successful replay — same order, same timestamps. With no
+    /// snapshot live the version replaces the key's chain (see
+    /// [`ShardedMvcc::install_plain`]), so live and recovered chains
+    /// both hold what the automatic collector would leave.
     pub(crate) fn install_plain(&mut self, op: &DurableOp) {
-        if let Some((k, v)) = mvcc_kv_for(op) {
-            let commit_ts = self.mvcc.oracle().next(op.ts());
-            self.mvcc.install_version(&k, v, commit_ts);
-            self.stats.incr("plain_versions");
+        match op {
+            DurableOp::Position { id, position, ts } => self.install_position(*id, *position, *ts),
+            DurableOp::Attr { id, name, value, ts } => self.install_attr(*id, name, *value, *ts),
+            _ => {}
         }
+    }
+
+    /// [`Self::install_plain`] for a batched engine write.
+    pub(crate) fn install_plain_write(&mut self, op: &WriteOp) {
+        match op {
+            WriteOp::Position { id, position, ts } => self.install_position(*id, *position, *ts),
+            WriteOp::Attr { id, name, value, ts } => self.install_attr(*id, name, *value, *ts),
+        }
+    }
+
+    fn install_position(&mut self, id: EntityId, position: Point, ts: SimTime) {
+        put_pos_key(&mut self.key, id);
+        self.install_keyed(point_value(position), ts);
+    }
+
+    fn install_attr(&mut self, id: EntityId, name: &str, value: f64, ts: SimTime) {
+        put_attr_key(&mut self.key, id, name);
+        self.install_keyed(f64_value(value), ts);
+    }
+
+    /// Install `value` under the key in `self.key`.
+    fn install_keyed(&mut self, value: Bytes, ts: SimTime) {
+        let commit_ts = self.mvcc.oracle().next(ts);
+        self.mvcc.install_plain(&self.key, value, commit_ts);
+        self.stats.incr("plain_versions");
     }
 }
 
@@ -394,7 +440,7 @@ impl DurableMetaverse {
         self.txns.mvcc.install(&inner, commit_ts);
         for (_, shard_ops) in &by_shard {
             for op in shard_ops {
-                Self::replay(&mut self.engine, &mut self.ids, op);
+                Self::apply_leaf(&mut self.engine, op);
             }
         }
         self.txns.mvcc.finish(inner.id);
@@ -539,7 +585,6 @@ impl DurableMetaverse {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sharded::WriteOp;
     use crate::entity::EntityKind;
 
     fn t(ms: u64) -> SimTime {

@@ -299,11 +299,40 @@ impl MvccStore {
 
     /// Install one version directly at `commit_ts`, bypassing
     /// validation — the recovery path replaying decided transactions
-    /// from the log. Advances the oracle past `commit_ts`.
-    pub fn install_version(&self, key: impl Into<Bytes>, value: Option<Bytes>, commit_ts: u64) {
-        self.oracle.advance_past(commit_ts);
+    /// from the log. Advances the oracle past `commit_ts`. The key is
+    /// copied only when it has no chain yet.
+    pub fn install_version(&self, key: &[u8], value: Option<Bytes>, commit_ts: u64) {
+        self.put_version(key, Version { commit_ts, value }, false);
+    }
+
+    /// Make a live `value` at `commit_ts` the key's whole chain: what
+    /// [`Self::gc`] at any horizon at or above `commit_ts` leaves once
+    /// this version tops the chain. `commit_ts` must exceed every
+    /// version of the key, and no snapshot older than it may still read
+    /// the key — the caller's guarantee (`ShardedMvcc::install_plain`
+    /// checks that no snapshot is live). Advances the oracle past
+    /// `commit_ts`; the key is copied only when it has no chain yet.
+    pub fn replace_version(&self, key: &[u8], value: Bytes, commit_ts: u64) {
+        self.put_version(key, Version { commit_ts, value: Some(value) }, true);
+    }
+
+    /// Shared body of [`Self::install_version`] and
+    /// [`Self::replace_version`]: append `version` to the key's chain,
+    /// or replace the chain with it.
+    fn put_version(&self, key: &[u8], version: Version, replace: bool) {
+        self.oracle.advance_past(version.commit_ts);
         let mut g = self.inner.lock();
-        g.chains.entry(key.into()).or_default().push(Version { commit_ts, value });
+        match g.chains.get_mut(key) {
+            Some(chain) => {
+                if replace {
+                    chain.clear();
+                }
+                chain.push(version);
+            }
+            None => {
+                g.chains.insert(Bytes::copy_from_slice(key), vec![version]);
+            }
+        }
     }
 
     /// Locks currently held (prepared-but-undecided keys).

@@ -228,7 +228,25 @@ impl ShardedMvcc {
     /// Install one version directly (recovery replay), routed to the
     /// key's shard; advances the oracle past `commit_ts`.
     pub fn install_version(&self, key: &[u8], value: Option<Bytes>, commit_ts: u64) {
-        self.store_for(key).install_version(Bytes::copy_from_slice(key), value, commit_ts);
+        self.store_for(key).install_version(key, value, commit_ts);
+    }
+
+    /// Install the version a plain (non-transactional) write makes,
+    /// routed to the key's shard. `commit_ts` must be freshly drawn
+    /// from this store's oracle, so it tops the key's chain. With no
+    /// snapshot live the version replaces the chain — exactly what
+    /// [`Self::auto_gc`] would leave of it — so plain ingest keeps one
+    /// version per key; otherwise it is appended and the collector
+    /// trims behind the oldest snapshot as usual. A snapshot begun
+    /// concurrently reads at or above `commit_ts`, so it cannot miss
+    /// the replaced versions either.
+    pub fn install_plain(&self, key: &[u8], value: Bytes, commit_ts: u64) {
+        let store = self.store_for(key);
+        if self.live.lock().is_empty() {
+            store.replace_version(key, value, commit_ts);
+        } else {
+            store.install_version(key, Some(value), commit_ts);
+        }
     }
 
     /// One-call atomic commit across all shards at sim time `now` —
@@ -436,6 +454,28 @@ mod tests {
         assert_eq!(db.live_snapshot_count(), 0);
         assert!(db.auto_gc() > 0);
         assert_eq!(db.version_count(), 1);
+    }
+
+    #[test]
+    fn plain_installs_replace_the_chain_only_while_no_snapshot_is_live() {
+        let db = db(4);
+        let plain = |db: &ShardedMvcc, v: u8| {
+            let ts = db.oracle().next(SimTime::ZERO);
+            db.install_plain(b"hot", Bytes::from(vec![v]), ts);
+        };
+        for v in 0..5 {
+            plain(&db, v);
+        }
+        assert_eq!(db.version_count(), 1, "no snapshot live: one version");
+        let mut reader = db.begin();
+        plain(&db, 5);
+        plain(&db, 6);
+        assert_eq!(db.version_count(), 3, "a live snapshot keeps what it can read");
+        assert_eq!(db.read(&mut reader, b"hot"), Some(Bytes::from(vec![4u8])));
+        db.finish(reader.id);
+        plain(&db, 7);
+        assert_eq!(db.version_count(), 1);
+        assert_eq!(db.read_latest(b"hot"), Some(Bytes::from(vec![7u8])));
     }
 
     #[test]

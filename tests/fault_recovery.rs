@@ -487,7 +487,7 @@ mod recovery_differential {
         Write(WriteOp),
         Batch(Vec<WriteOp>),
         Retire(EntityId),
-        Area { region: Aabb, retire: bool },
+        Area { space: Space, region: Aabb, retire: bool },
         Commit,
         /// A transfer, committed or explicitly aborted.
         Transfer { from: EntityId, to: EntityId, amount: f64, abort: bool },
@@ -553,6 +553,7 @@ mod recovery_differential {
                     }
                     46..=49 => Step::Retire(id(&mut rng)),
                     50..=52 => Step::Area {
+                        space: Space::Virtual,
                         region: Aabb::centered(point(&mut rng), rng.gen_range(3.0..15.0)),
                         retire: rng.gen_bool(0.5),
                     },
@@ -625,8 +626,8 @@ mod recovery_differential {
             Step::Retire(id) => {
                 let _ = dm.retire(*id, now);
             }
-            Step::Area { region, retire } => {
-                dm.area_effect(Space::Virtual, "raid", *region, "perish", *retire, now);
+            Step::Area { space, region, retire } => {
+                dm.area_effect(*space, "raid", *region, "perish", *retire, now);
             }
             Step::Commit => {
                 dm.commit(now);
@@ -782,6 +783,151 @@ mod recovery_differential {
         assert!(crashes > SEEDS as usize, "crashes mid-2PC");
         assert!(corrupt > SEEDS as usize / 2, "most final logs are damaged");
         assert!(cut_steps > 0, "some cuts fall between a prepare and its decision");
+    }
+
+    /// Tight probes on every live entity's truth and twin positions (a
+    /// twin lagging by under a metre falls outside its truth's probe),
+    /// plus the whole plane.
+    fn hugging_probes(dm: &DurableMetaverse) -> Vec<Aabb> {
+        let mut probes: Vec<Aabb> = dm
+            .ids()
+            .iter()
+            .filter_map(|&id| dm.engine().entity(id).ok())
+            .filter(|e| !e.retired)
+            .flat_map(|e| [Aabb::centered(e.position, 0.02), Aabb::centered(e.twin_position, 0.02)])
+            .collect();
+        probes.push(Aabb::everything());
+        probes
+    }
+
+    /// A step for the spatial stream, drawn from the state of `dm`:
+    /// mostly sub-metre moves (the twin lags and keeps its old grid
+    /// cell entry), some jumps that force a twin sync, spawns of both
+    /// authorities, retires, and area effects in either space centred
+    /// on some entity's twin, retiring or not.
+    fn spatial_step(rng: &mut StdRng, dm: &DurableMetaverse, ts: SimTime) -> Step {
+        let ids = dm.ids();
+        let id = ids[rng.gen_range(0..ids.len())];
+        let entity = dm.engine().entity(id).expect("spawned");
+        match rng.gen_range(0..100u32) {
+            0..=7 => Step::Spawn(point(rng)),
+            8..=59 => {
+                let (dx, dy) = (rng.gen_range(-0.45..0.45), rng.gen_range(-0.45..0.45));
+                let position = Point::new(entity.position.x + dx, entity.position.y + dy);
+                Step::Write(WriteOp::Position { id, position, ts })
+            }
+            60..=69 => Step::Write(WriteOp::Position { id, position: point(rng), ts }),
+            70..=75 => Step::Retire(id),
+            76..=89 => Step::Area {
+                space: if rng.gen_bool(0.5) { Space::Virtual } else { Space::Physical },
+                region: Aabb::centered(entity.twin_position, rng.gen_range(0.3..4.0)),
+                retire: rng.gen_bool(0.4),
+            },
+            _ => Step::Commit,
+        }
+    }
+
+    /// Recovery replays into the entity arenas and rebuilds the spatial
+    /// grids afterwards (and before each logged area effect): truth and
+    /// twin queries, and area-effect targets, must come out as on a
+    /// twin whose grids were maintained op by op.
+    #[test]
+    fn recovered_spatial_queries_match_a_twin_that_never_crashed() {
+        let (mut lagging, mut effects, mut hits) = (0, 0, 0);
+        for seed in 0..SEEDS {
+            let mut rng = seeded_rng(seed ^ 0x6e1d);
+            let (mut dm, mut twin) = (world(), world());
+            for i in 0..STEPS {
+                let step = spatial_step(&mut rng, &twin, at(i));
+                effects += usize::from(matches!(step, Step::Area { .. }));
+                apply(&mut dm, &step, at(i));
+                apply(&mut twin, &step, at(i));
+            }
+            let end = at(STEPS);
+            dm.commit(end);
+            twin.commit(end);
+            dm.crash_and_recover();
+            assert_eq!(dm.state_encoding(), twin.state_encoding(), "seed {seed}: engine bytes");
+
+            let probes = hugging_probes(&twin);
+            for space in Space::ALL {
+                let (engine, expect) = (dm.engine(), twin.engine());
+                assert_eq!(
+                    engine.query_truth_batch(space, &probes),
+                    expect.query_truth_batch(space, &probes),
+                    "seed {seed}: truth queries in {space:?}"
+                );
+                assert_eq!(
+                    engine.query_visible_batch(space, &probes),
+                    expect.query_visible_batch(space, &probes),
+                    "seed {seed}: visible queries in {space:?}"
+                );
+            }
+            for space in Space::ALL {
+                for region in &probes {
+                    let got = dm.area_effect(space, "siren", *region, "cover", false, end);
+                    let want = twin.area_effect(space, "siren", *region, "cover", false, end);
+                    assert_eq!(got, want, "seed {seed}: area-effect targets in {space:?}");
+                    hits += want.len();
+                }
+            }
+            lagging += twin
+                .ids()
+                .iter()
+                .filter_map(|&id| twin.engine().entity(id).ok())
+                .filter(|e| !e.retired && e.divergence() > 0.02)
+                .count();
+        }
+        // The streams reach the paths they are meant to.
+        assert!(lagging > SEEDS as usize, "twins lag their truth");
+        assert!(effects > SEEDS as usize, "logged area effects force early rebuilds");
+        assert!(hits > 0, "area effects find targets after recovery");
+    }
+
+    /// Plain (non-transactional) writes with no snapshot live keep one
+    /// MVCC version per key — the chain the automatic collector would
+    /// leave — so a plain-only stream recovers to the same chains; a
+    /// live snapshot still pins the versions it can read.
+    #[test]
+    fn plain_writes_keep_one_version_and_recover_to_the_same_chains() {
+        let mut dm = world();
+        let mut rng = seeded_rng(0x7a1);
+        // `world` wrote every entity's gold once.
+        let mut keys: std::collections::BTreeSet<(u64, String)> =
+            (0..START).map(|i| (i, "gold".to_string())).collect();
+        for i in 0..STEPS {
+            let id = EntityId::new(rng.gen_range(0..START));
+            let op = write(&mut rng, id, at(i));
+            keys.insert(match &op {
+                WriteOp::Position { .. } => (id.raw(), "position".to_string()),
+                WriteOp::Attr { name, .. } => (id.raw(), name.clone()),
+            });
+            if i % 3 == 0 {
+                dm.apply_batch(std::slice::from_ref(&op));
+            } else {
+                apply(&mut dm, &Step::Write(op), at(i));
+            }
+        }
+        dm.commit(at(STEPS));
+        assert_eq!(dm.txn_version_count(), keys.len(), "one version per written key");
+        let chains = dm.txn_digest();
+        dm.crash_and_recover();
+        assert_eq!(dm.txn_digest(), chains, "recovered chains equal the live ones");
+        assert_eq!(dm.txn_version_count(), keys.len());
+
+        // A pinned reader keeps reading its own version while plain
+        // writes stack up above it; finishing it trims them again.
+        let (id, now) = (EntityId::new(0), at(STEPS + 1));
+        let mut reader = dm.txn(now);
+        let seen = dm.txn_read_attr(&mut reader, id, "gold");
+        assert!(seen.is_some(), "gold has a version");
+        for k in 0..4 {
+            dm.update_attr(id, "gold", 1_000.0 + f64::from(k), now).expect("entity 0 is live");
+        }
+        assert_eq!(dm.txn_read_attr(&mut reader, id, "gold"), seen, "the snapshot reads its own version");
+        assert_eq!(dm.txn_version_count(), keys.len() + 4, "a live snapshot keeps the versions above it");
+        dm.abort_txn(reader, now);
+        assert_eq!(dm.txn_version_count(), keys.len(), "the collector trims once the reader is gone");
     }
 }
 
