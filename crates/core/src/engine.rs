@@ -53,13 +53,10 @@ pub struct Metaverse {
     /// `sync_msgs`, `suppressed_syncs`, `commands` counters.
     pub stats: Counters,
     /// While set, spawns, moves and retires write the arena only and
-    /// leave the four grids stale; [`Metaverse::refresh_indexes`]
+    /// leave the four grids stale; [`Metaverse::resume_indexes`]
     /// rebuilds them from the arena in one pass. Crash recovery sets it
-    /// for the length of its replay (see
-    /// `ShardedMetaverse::suspend_indexes`).
+    /// for its replay (see `ShardedMetaverse::suspend_indexes`).
     indexes_suspended: bool,
-    /// True when a suspended mutation skipped the grids.
-    indexes_stale: bool,
 }
 
 fn space_slot(space: Space) -> usize {
@@ -82,7 +79,6 @@ impl Metaverse {
             clock: SimTime::ZERO,
             stats: Counters::new(),
             indexes_suspended: false,
-            indexes_stale: false,
         }
     }
 
@@ -123,7 +119,7 @@ impl Metaverse {
         let id = entity.id;
         let position = entity.position;
         let auth = entity.kind.authoritative_space();
-        if self.maintain_indexes() {
+        if !self.indexes_suspended {
             self.truth_index[space_slot(auth)].insert(id, position);
             self.twin_index[space_slot(auth.other())].insert(id, position);
         }
@@ -157,7 +153,7 @@ impl Metaverse {
         }
         self.entities.set_position(slot, position);
         let auth = self.entities.kind(slot).authoritative_space();
-        let indexed = self.maintain_indexes();
+        let indexed = !self.indexes_suspended;
         if indexed {
             self.truth_index[space_slot(auth)].update(id, position);
         }
@@ -321,7 +317,7 @@ impl Metaverse {
 
     /// Live twins materialized in `space` inside `region` — the targets an
     /// area effect raised in that space would hit (unsorted). Reads the
-    /// twin grid, so stale grids must be refreshed first.
+    /// twin grid, so a suspension must be ended first.
     pub(crate) fn affected_twins(&self, space: Space, region: &Aabb) -> Vec<EntityId> {
         self.twin_index[space_slot(space)]
             .range(region)
@@ -363,7 +359,7 @@ impl Metaverse {
         }
         self.entities.retire(slot);
         let auth = self.entities.kind(slot).authoritative_space();
-        if self.maintain_indexes() {
+        if !self.indexes_suspended {
             self.truth_index[space_slot(auth)].remove(id);
             self.twin_index[space_slot(auth.other())].remove(id);
         }
@@ -407,25 +403,19 @@ impl Metaverse {
         self.bus.drain()
     }
 
-    /// Whether a mutation should update the grids now. Under
-    /// suspension it should not, and the grids are marked stale.
-    fn maintain_indexes(&mut self) -> bool {
-        self.indexes_stale |= self.indexes_suspended;
-        !self.indexes_suspended
-    }
-
     /// Stop maintaining the grids on spawn, move and retire until
     /// [`Metaverse::resume_indexes`].
     pub(crate) fn suspend_indexes(&mut self) {
         self.indexes_suspended = true;
     }
 
-    /// Bring stale grids up to date with the arena: truth entries at
-    /// `position`, twin entries at `twin_position`, retired rows left
-    /// out — exactly what incremental maintenance would hold. A no-op
-    /// unless a suspended mutation skipped them.
-    pub(crate) fn refresh_indexes(&mut self) {
-        if !self.indexes_stale {
+    /// End a suspension: rebuild the grids from the arena in one pass —
+    /// truth entries at `position`, twin entries at `twin_position`,
+    /// retired rows left out, exactly what incremental maintenance would
+    /// hold — and maintain them incrementally again. A no-op unless
+    /// suspended.
+    pub(crate) fn resume_indexes(&mut self) {
+        if !self.indexes_suspended {
             return;
         }
         for grid in self.truth_index.iter_mut().chain(self.twin_index.iter_mut()) {
@@ -441,12 +431,6 @@ impl Metaverse {
             truth.insert(id, position);
             twin.insert(id, twin_position);
         }
-        self.indexes_stale = false;
-    }
-
-    /// Refresh the grids and maintain them incrementally again.
-    pub(crate) fn resume_indexes(&mut self) {
-        self.refresh_indexes();
         self.indexes_suspended = false;
     }
 }

@@ -450,9 +450,10 @@ impl ShardedMetaverse {
         now: SimTime,
     ) -> Vec<Command> {
         self.advance(now);
-        // The target scan reads the twin grids: bring any left stale by
-        // a suspended replay up to date first (a no-op otherwise).
-        self.shards.iter_mut().for_each(Metaverse::refresh_indexes);
+        // The target scan reads the twin grids: a suspended replay ends
+        // its suspension here, so it rebuilds them at most once (a no-op
+        // otherwise).
+        self.resume_indexes();
         // The area-effect fact is a global (entity-less) event; record it
         // once. Shard 0 hosts globals so the merged log sees it exactly
         // once, like the sequential engine's log does.
@@ -474,26 +475,19 @@ impl ShardedMetaverse {
 
     /// Stop maintaining the spatial grids: until
     /// [`Self::resume_indexes`], spawns, moves and retires write each
-    /// shard's entity arena only. Crash recovery replays under this and
-    /// rebuilds every grid once at the end; an area effect in the log
-    /// refreshes the grids before it scans them, so replay stays exact.
+    /// shard's entity arena only. Crash recovery replays under this; the
+    /// first logged area effect, or else the end of replay, rebuilds
+    /// every grid once and ends the suspension, so the target scan reads
+    /// exact grids and the rest of replay maintains them incrementally.
     pub(crate) fn suspend_indexes(&mut self) {
         self.shards.iter_mut().for_each(Metaverse::suspend_indexes);
     }
 
-    /// Rebuild every grid a suspended mutation left stale, in one pass
-    /// over each shard's arena (shards on scoped threads in parallel
-    /// apply mode), and maintain them incrementally again.
+    /// End a suspension: rebuild every shard's grids in one pass over
+    /// its arena and maintain them incrementally again (a no-op unless
+    /// suspended).
     pub(crate) fn resume_indexes(&mut self) {
-        if self.parallel_apply {
-            std::thread::scope(|scope| {
-                for shard in &mut self.shards {
-                    scope.spawn(|| shard.resume_indexes());
-                }
-            });
-        } else {
-            self.shards.iter_mut().for_each(Metaverse::resume_indexes);
-        }
+        self.shards.iter_mut().for_each(Metaverse::resume_indexes);
     }
 
     /// Mean twin divergence over live entities across all shards.
@@ -767,6 +761,24 @@ mod tests {
         let (drained, next) = run(true);
         assert!(drained > 12, "spawns, the raid and the move emitted events");
         assert_eq!((drained, next), run(false));
+    }
+
+    #[test]
+    fn an_area_effect_ends_an_index_suspension() {
+        // Replay suspends the grids; the first area effect rebuilds them
+        // for its scan and resumes incremental maintenance, so later
+        // moves are indexed without a second rebuild.
+        let mut mv = ShardedMetaverse::with_defaults(4);
+        mv.suspend_indexes();
+        let ids: Vec<_> = (0..8)
+            .map(|i| mv.spawn(format!("e{i}"), EntityKind::Person, Point::new(i as f64, 0.0), t(0)))
+            .collect();
+        let region = Aabb::centered(Point::ORIGIN, 100.0);
+        let hit = mv.area_effect(Space::Virtual, "scan", region, "ping", false, t(1));
+        assert_eq!(hit.len(), ids.len(), "the scan read rebuilt grids");
+        let far = Point::new(400.0, 400.0);
+        mv.update_position(ids[0], far, t(2)).unwrap();
+        assert_eq!(mv.query_truth(Space::Physical, &Aabb::centered(far, 1.0)), vec![ids[0]]);
     }
 
     #[test]

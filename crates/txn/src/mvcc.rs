@@ -312,7 +312,7 @@ impl MvccStore {
     /// the key — the caller's guarantee (`ShardedMvcc::install_plain`
     /// checks that no snapshot is live). Advances the oracle past
     /// `commit_ts`; the key is copied only when it has no chain yet.
-    pub fn replace_version(&self, key: &[u8], value: Bytes, commit_ts: u64) {
+    pub(crate) fn replace_version(&self, key: &[u8], value: Bytes, commit_ts: u64) {
         self.put_version(key, Version { commit_ts, value: Some(value) }, true);
     }
 
@@ -325,6 +325,10 @@ impl MvccStore {
         match g.chains.get_mut(key) {
             Some(chain) => {
                 if replace {
+                    debug_assert!(
+                        chain.last().is_none_or(|v| v.commit_ts < version.commit_ts),
+                        "a replacing version must top the key's chain"
+                    );
                     chain.clear();
                 }
                 chain.push(version);

@@ -828,7 +828,7 @@ mod recovery_differential {
     }
 
     /// Recovery replays into the entity arenas and rebuilds the spatial
-    /// grids afterwards (and before each logged area effect): truth and
+    /// grids afterwards (or at the first logged area effect): truth and
     /// twin queries, and area-effect targets, must come out as on a
     /// twin whose grids were maintained op by op.
     #[test]
